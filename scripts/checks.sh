@@ -72,6 +72,12 @@
 #    `serve` flag must appear in the docs, every METRIC_CATALOG
 #    name must appear in docs/observability.md, and every STREAM_EVENTS
 #    type must appear in docs/serving.md (drift fails the check set).
+# 13. `benchmarks/e2e/run.py --workload offline_ideal --workload
+#    offline_nonideal --seed 0 --seconds 3` — the end-to-end benchmark's
+#    two offline workloads at a quarter length (about 20 s): the exit
+#    code gates bit-identity of every output against the serial forward
+#    (ideal, IR-drop, variation and read-noise engines), the golden
+#    digests at seed 0 and the thread / fd / shm leak counters.
 set -e
 
 cd "$(dirname "$0")/.."
@@ -133,5 +139,9 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_async.py \
 
 echo "==> docs check: check_docs.py"
 python scripts/check_docs.py
+
+echo "==> end-to-end benchmark smoke: benchmarks/e2e/run.py (offline workloads)"
+python3 benchmarks/e2e/run.py --workload offline_ideal \
+    --workload offline_nonideal --seed 0 --seconds 3
 
 echo "==> checks passed"

@@ -35,7 +35,12 @@ class DACSpec:
     def convert(self, bits: np.ndarray) -> np.ndarray:
         """Map logical bits to word-line activation levels (0/1)."""
         bits = np.asarray(bits)
-        if bits.size and not np.isin(bits, (0, 1)).all():
+        kind = bits.dtype.kind
+        if kind in "iu":   # the engines' case: two reductions, no temporary
+            valid = not bits.size or (bits.min() >= 0 and bits.max() <= 1)
+        else:
+            valid = kind == "b" or bool(((bits == 0) | (bits == 1)).all())
+        if not valid:
             raise ValueError("DAC input must be 0/1 bits")
         return bits.astype(np.float64)
 
@@ -74,12 +79,14 @@ class ADCSpec:
         clipped at either rail (overflow past full scale or underflow below
         zero).  Semantically ``convert`` + both-rail counting, but the
         engines call this on every kernel batch, so the rounded tensor is
-        computed once and reused.
+        computed once and clipped in place.
         """
-        rounded = np.rint(np.asarray(analog))
-        digital = np.clip(rounded, 0, self.max_code).astype(np.int64)
-        saturated = int(np.count_nonzero(digital != rounded))
-        return digital, saturated
+        rounded = np.array(analog, dtype=np.float64)
+        np.rint(rounded, out=rounded)
+        in_range = (rounded >= 0) & (rounded <= self.max_code)
+        saturated = rounded.size - int(np.count_nonzero(in_range))
+        np.clip(rounded, 0, self.max_code, out=rounded)
+        return rounded.astype(np.int64), saturated
 
     def saturation_fraction(self, analog: np.ndarray) -> float:
         """Fraction of samples clipped at either rail.

@@ -132,8 +132,10 @@ def autotune_fused_kernel_max_elements(
             start = time.perf_counter()
             for lo in range(0, jobs, chunk):
                 hi = lo + chunk
-                currents = np.einsum("jmp,jmcs->jpcs", drive[lo:hi],
-                                     cond[lo:hi], optimize=True)
+                currents = np.matmul(
+                    drive[lo:hi].transpose(0, 2, 1),
+                    cond[lo:hi].reshape(-1, m, cols * slices)
+                ).reshape(-1, positions, cols, slices)
                 analog = (currents
                           - 1e-8 * active[lo:hi, :, None, None]) * 1e6
                 np.clip(np.rint(analog), 0, 15)
@@ -320,6 +322,18 @@ def _active_scopes() -> List["StatsScope"]:
     return getattr(_STATS_SCOPES, "stack", [])
 
 
+def _noise_keys(digest: int, plane: int, bit, fragment) -> np.ndarray:
+    """One ``(digest, plane, bit, fragment)`` identity row per kernel job.
+
+    ``bit`` / ``fragment`` are scalars or equal-length arrays.  The first
+    three columns name a :class:`~repro.reram.nonideal.ReadNoise` row
+    substream, the fragment is the job's block in it.
+    """
+    keys = np.empty((max(np.size(bit), np.size(fragment)), 4), dtype=np.uint64)
+    keys[:, 0], keys[:, 1], keys[:, 2], keys[:, 3] = digest, plane, bit, fragment
+    return keys
+
+
 class DieCache:
     """Memoizes programmed conductance planes across engine constructions.
 
@@ -494,9 +508,9 @@ class InSituLayerEngine:
         # values, fragment signs), hoisted out of the per-task hot path.
         self._plane_signs = np.array([sign for _, sign in self._plane_terms],
                                      dtype=np.int64)
-        self._plane_place_f = np.concatenate(
-            [sign * self._place for _, sign in self._plane_terms]
-        ).astype(np.float64)
+        self._plane_place = np.stack(
+            [sign * self._place for _, sign in self._plane_terms])  # (n, s)
+        self._plane_place_f = self._plane_place.ravel().astype(np.float64)
         self._frag_signs_arr = (
             np.where(self.sign_indicator.bits == 1, -1, 1).astype(np.int64)
             if self.sign_indicator is not None else None)
@@ -699,20 +713,22 @@ class InSituLayerEngine:
     # Shared signal-path pieces
     # ------------------------------------------------------------------
     def _job_currents(self, conductance: np.ndarray, drive: np.ndarray,
-                      noise_keys: Optional[Sequence[Tuple[int, ...]]] = None
-                      ) -> np.ndarray:
+                      noise_keys: Optional[np.ndarray] = None) -> np.ndarray:
         """Analog bit-line currents for a batch of fragment reads.
 
         ``conductance``: (jobs, m, cols, slices); ``drive``: (jobs, m,
         positions) word-line levels.  Returns (jobs, positions, cols,
         slices).  The single override point for physics
         (:class:`~repro.reram.nonideal_engine.NonidealEngine` adds IR drop
-        and read noise here).  ``noise_keys`` — one integer tuple per job —
-        identifies each job for deterministic per-job noise substreams;
-        the ideal read ignores it.
+        and read noise here).  ``noise_keys`` — one row of
+        :func:`_noise_keys` per job — identifies each job for the
+        deterministic row-keyed noise substreams; the ideal read ignores it.
         """
-        return self.device.spec.read_voltage * np.einsum(
-            "jmp,jmcs->jpcs", drive, conductance, optimize=True)
+        jobs, m, cols, slices = conductance.shape
+        currents = np.matmul(drive.transpose(0, 2, 1),
+                             conductance.reshape(jobs, m, cols * slices))
+        currents *= self.device.spec.read_voltage
+        return currents.reshape(jobs, -1, cols, slices)
 
     def _convert_batch(self, held: np.ndarray, active: np.ndarray,
                        stats: EngineStats) -> np.ndarray:
@@ -724,9 +740,12 @@ class InSituLayerEngine:
         covers both ADC rails: overflow past the full-scale code and
         underflow below zero (reachable with read noise / IR drop).
         Accounting lands in ``stats`` (a per-call or per-worker local).
+        ``held`` is consumed: the caller hands over a freshly computed
+        tensor and the pedestal correction runs in place.
         """
-        analog = (held - self._v_g_min * active[:, :, None, None]) * self._inv_v_g_step
-        digital, saturated = self.adc.digitize(analog)
+        held -= self._v_g_min * active[:, :, None, None]
+        held *= self._inv_v_g_step
+        digital, saturated = self.adc.digitize(held)
         stats.conversions += digital.size
         stats.saturated += saturated
         return digital
@@ -754,8 +773,8 @@ class InSituLayerEngine:
         drive = self.dac.convert(bits_stack)
         keys = None
         if digest is not None:
-            keys = [(digest, plane_index, bit, f)
-                    for f in range(bits_stack.shape[0])]
+            keys = _noise_keys(digest, plane_index, bit,
+                               np.arange(bits_stack.shape[0]))
         currents = self._job_currents(self.conductance[plane], drive,
                                       noise_keys=keys)
         held = self.sample_hold.hold(currents, copy=False)
@@ -997,12 +1016,9 @@ class InSituLayerEngine:
 
         # Hybrid dispatch: when the average per-fragment grid is too small
         # to amortize a kernel task (many fragments, few positions), the
-        # dense masked kernel is the faster executor for the same schedule;
-        # likewise on the analog tier when position-level sparsity is
-        # negligible (the analog task has no telescoped shortcut, so a
-        # near-dense grid gains nothing over the one-einsum dense kernel).
-        # Both are pure dispatch decisions — results are bit-identical.
-        # Skipped for the exact-matmul tier, which has no per-fragment tasks.
+        # dense masked kernel is the faster executor for the same schedule.
+        # A pure dispatch decision — results are bit-identical.  Skipped
+        # for the exact-matmul tier, which has no per-fragment tasks.
         ideal = self._signal_path_ideal()
         exact_tier = (ideal and self._exact_tier_constants()[0]
                       <= self.adc.max_code)
@@ -1013,13 +1029,10 @@ class InSituLayerEngine:
             scheduled = int((live_bits_per_frag * live_pos_per_frag).sum())
             avg_task = (scheduled * cols * slices * n_planes
                         / max(1, n_live_frag))
-            # sparse_min_task_elements == 0 disables both fallbacks (tests
+            # sparse_min_task_elements == 0 disables the fallback (tests
             # use it to pin the CSR path).
-            if self.sparse_min_task_elements:
-                if avg_task < self.sparse_min_task_elements:
-                    return self._matvec_dense(stacked, pool)
-                if not ideal and scheduled > 0.9 * n_jobs * positions:
-                    return self._matvec_dense(stacked, pool)
+            if avg_task < self.sparse_min_task_elements:
+                return self._matvec_dense(stacked, pool)
 
         local = EngineStats()
         local.cycles_fed += n_bits
@@ -1176,27 +1189,31 @@ class InSituLayerEngine:
         the reference loop).
         """
         f, lb, lp = task
+        m = stacked.shape[1]
         cols = self.mapped.geometry.cols
         slices = self.mapped.slices
         n_planes = len(self._plane_terms)
-        bits = (stacked[f][:, lp][None, :, :] >> lb[:, None, None]) & 1
-        drive = self.dac.convert(bits)                     # (B, m, K)
-        active = bits.sum(axis=1, dtype=np.int64)          # (B, K)
-        B = lb.size
-        cond = np.concatenate(
-            [np.broadcast_to(self.conductance[name][f],
-                             (B,) + self.conductance[name][f].shape)
-             for name, _ in self._plane_terms])            # (B*n, m, cols, s)
+        # Every live bit of the fragment reads the same conductances, so
+        # the (bit, position) grid rides the positions axis of one job per
+        # plane — a single contraction against the plane, no per-bit copy.
+        grid = ((stacked[f][:, lp][:, None, :] >> lb[None, :, None]) & 1
+                ).reshape(1, m, lb.size * lp.size)         # (1, m, B*K)
+        drive = self.dac.convert(grid)
+        active = grid.sum(axis=1)                          # (1, B*K)
+        cond = np.stack([self.conductance[name][f]
+                         for name, _ in self._plane_terms])  # (n, m, cols, s)
         if n_planes > 1:
-            drive = np.concatenate([drive] * n_planes)
-            active = np.concatenate([active] * n_planes)
+            drive = np.broadcast_to(drive, (n_planes,) + drive.shape[1:])
         currents = self._job_currents(cond, drive)
         held = self.sample_hold.hold(currents, copy=False)
-        digital = self._convert_batch(held, active, stats)  # (B*n, K, cols, s)
-        vals = digital.reshape(n_planes, B, lp.size, cols, slices)
-        res = np.einsum("nbkcs,s,n,b->kc", vals, self._place,
-                        self._plane_signs, bit_weight[lb],
-                        optimize=True)                      # (K, cols)
+        digital = self._convert_batch(held, active, stats)  # (n, B*K, cols, s)
+        # Shift-and-add: input-bit place values first (one matmul over the
+        # bit axis), then slice place values and plane signs.
+        by_bit = np.matmul(bit_weight[lb],
+                           digital.reshape(n_planes, lb.size, -1))
+        res = np.einsum("nkcs,ns->kc",
+                        by_bit.reshape(n_planes, lp.size, cols, slices),
+                        self._plane_place)                  # (K, cols)
         frag_signs = self._frag_signs()
         if frag_signs is not None:
             res = res * frag_signs[f]
@@ -1265,9 +1282,9 @@ class InSituLayerEngine:
                 return self._offset_correction(stacked, out)
 
         # Per-(job, slice) shift-and-add weights: ADC place value x input-bit
-        # place value x plane sign — and per-(job, col) fragment signs.  All
-        # digital recombination collapses into one integer contraction per
-        # chunk, so no (bits, n_frag, positions, cols) accumulator is ever
+        # place value x plane sign — and per-(job, col) fragment signs.
+        # Digital recombination is two integer contractions per chunk, so
+        # no (bits, n_frag, positions, cols) accumulator is ever
         # materialized.
         bit_weight = (np.int64(1) << bits_idx.astype(np.int64))    # (n_jobs,)
         frag_signs = self._frag_signs()
@@ -1275,6 +1292,10 @@ class InSituLayerEngine:
         per_job = max(1, positions * cols * slices * n_planes
                       * self._job_memory_factor(m))
         chunk = max(1, self._kernel_budget() // per_job)
+        if noisy and chunk > n_frag:
+            # Whole bit-plane rows per chunk: a noise row substream is then
+            # constructed once per MVM and none of its draws is discarded.
+            chunk -= chunk % n_frag
         chunks = [(start, min(start + chunk, n_jobs))
                   for start in range(0, n_jobs, chunk)]
 
@@ -1316,9 +1337,8 @@ class InSituLayerEngine:
                              for name, _ in self._plane_terms]))
                 keys = None
                 if digest is not None:
-                    keys = [(digest, pi, int(bb), int(ff))
-                            for pi in range(n_planes)
-                            for bb, ff in zip(b, f)]
+                    keys = np.concatenate([_noise_keys(digest, pi, b, f)
+                                           for pi in range(n_planes)])
                 if n_planes > 1:
                     drive = np.concatenate([drive] * n_planes)
                     active = np.concatenate([active] * n_planes)
@@ -1326,10 +1346,10 @@ class InSituLayerEngine:
                 held = self.sample_hold.hold(currents, copy=False)
                 digital = self._convert_batch(held, active, stats)
             if col_w is None:
-                return np.einsum("jpcs,js->pc", digital, slice_w,
-                                 optimize=True)
-            return np.einsum("jpcs,js,jc->pc", digital, slice_w, col_w,
-                             optimize=True)
+                return np.einsum("jpcs,js->pc", digital, slice_w)
+            return np.einsum("jpc,jc->pc",
+                             np.einsum("jpcs,js->jpc", digital, slice_w),
+                             col_w)
 
         acc = np.zeros((positions, cols), dtype=np.int64)
         for partial, chunk_stats in self._fan_out(pool, run_chunk, chunks):

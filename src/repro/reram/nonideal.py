@@ -33,6 +33,7 @@ function of rows active per conversion (``bench_ablation_nonideality``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -78,78 +79,35 @@ class CellIV:
     which satisfies ``I(v_read) = g * v_read`` exactly and loses current
     superlinearly as IR drop pulls ``dv`` below ``v_read``.  ``nonlinearity``
     (k) of 0 recovers the linear cell; 2-3 is typical for HfOx ReRAM.
-
-    ``table_points > 0`` evaluates the sinh through a precomputed uniform
-    interpolation table over ``|dv| <= table_range * v_read`` instead of the
-    transcendental — the hot-loop form of the analog engine tier.  The
-    interpolation error is orders of magnitude below the ADC's rounding
-    threshold (asserted against the closed form in the tests), and voltages
-    outside the tabulated range fall back to the closed form, so the table
-    is an accuracy-neutral speed knob.
     """
 
     nonlinearity: float = 2.0
     v_read: float = 0.3
-    table_points: int = 0
-    table_range: float = 1.5
 
     def __post_init__(self):
         if self.nonlinearity < 0:
             raise ValueError("nonlinearity must be non-negative")
         if self.v_read <= 0:
             raise ValueError("v_read must be positive")
-        if self.table_points < 0:
-            raise ValueError("table_points must be non-negative")
-        if self.table_points and self.table_points < 2:
-            raise ValueError("a usable table needs at least 2 points")
-        if self.table_range <= 0:
-            raise ValueError("table_range must be positive")
 
     @property
     def is_linear(self) -> bool:
         return self.nonlinearity == 0.0
 
-    def tabulated(self, points: int = 8193) -> "CellIV":
-        """Copy of this curve with the sinh lookup table enabled."""
-        from dataclasses import replace
-        return replace(self, table_points=points)
+    def current(self, g: np.ndarray, dv: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Cell current at chord conductance ``g`` and applied voltage ``dv``.
 
-    def _table(self):
-        """Cached ``(inv_step, values)`` of sinh(k u)/sinh(k), u in +-range."""
-        cached = getattr(self, "_table_cache", None)
-        if cached is None:
-            k = self.nonlinearity
-            u = np.linspace(-self.table_range, self.table_range,
-                            self.table_points)
-            values = np.sinh(k * u) / np.sinh(k)
-            inv_step = (self.table_points - 1) / (2.0 * self.table_range)
-            cached = (inv_step, values)
-            object.__setattr__(self, "_table_cache", cached)  # frozen class
-        return cached
-
-    def _sinh_ratio(self, u: np.ndarray) -> np.ndarray:
-        """sinh(k u)/sinh(k) — tabulated linear interpolation when enabled."""
-        k = self.nonlinearity
-        if not self.table_points:
-            return np.sinh(k * u) / np.sinh(k)
-        inv_step, values = self._table()
-        pos = (u + self.table_range) * inv_step
-        idx = np.clip(np.floor(pos), 0, self.table_points - 2).astype(np.intp)
-        frac = pos - idx
-        lo = values[idx]
-        interp = lo + (values[idx + 1] - lo) * frac
-        outside = np.abs(u) > self.table_range
-        if np.any(outside):
-            interp = np.where(outside, np.sinh(k * u) / np.sinh(k), interp)
-        return interp
-
-    def current(self, g: np.ndarray, dv: np.ndarray) -> np.ndarray:
-        """Cell current at chord conductance ``g`` and applied voltage ``dv``."""
+        ``out`` (float64, broadcast shape) receives the result and may alias
+        ``dv``: the batched IR-drop kernel evaluates the curve in place.
+        """
         g = np.asarray(g, dtype=np.float64)
         dv = np.asarray(dv, dtype=np.float64)
         if self.is_linear:
-            return g * dv
-        return g * self.v_read * self._sinh_ratio(dv / self.v_read)
+            return np.multiply(g, dv, out=out)
+        k = self.nonlinearity
+        ratio = np.sinh(np.multiply(dv, k / self.v_read, out=out), out=out)
+        return np.multiply(ratio, g * (self.v_read / np.sinh(k)), out=out)
 
     def effective_conductance(self, g: np.ndarray, dv: np.ndarray) -> np.ndarray:
         """Secant conductance ``I(dv)/dv`` with a finite ``dv -> 0`` limit."""
@@ -312,18 +270,48 @@ def solve_ir_drop(conductance: np.ndarray, v_in: np.ndarray,
     return currents[:, 0] if squeeze else currents
 
 
+@functools.lru_cache(maxsize=32)
+def _line_kernel(taps: int, r_access: float, r_wire: float) -> np.ndarray:
+    """Resistance kernel of one wire: ``K[a, b] = r_access + r_wire*min(a, b)``.
+
+    ``K[a, b]`` is the voltage a unit current injected at tap ``b`` develops
+    at tap ``a`` of a line whose access resistance sits before tap 0 (they
+    share the access resistance and the first ``min(a, b)`` segments).
+    Read-only, because the cache hands every caller the same array.
+    """
+    index = np.arange(taps)
+    kernel = r_access + r_wire * np.minimum.outer(index, index)
+    kernel.flags.writeable = False
+    return kernel
+
+
 def first_order_currents(conductance: np.ndarray, v_in: np.ndarray,
                          wire: WireModel = WireModel(),
                          cell_iv: Optional[CellIV] = None) -> np.ndarray:
     """First-order IR-drop estimate (one perturbation pass, no linear solve).
 
-    Computes the ideal per-cell currents, charges each wire segment with the
-    current it would carry, accumulates the resulting voltage drops along
-    the word line (driver to cell) and bit line (cell to sense amplifier),
-    and re-evaluates the cell currents at the degraded voltages — through
-    the nonlinear I-V curve when ``cell_iv`` is given.  Accurate to a few
-    percent for realistic wire resistances (validated against
-    :func:`solve_ir_drop` in the tests); cost is O(rows x cols).
+    Computes the ideal per-cell currents ``I[i, j] = v[i] * g[i, j]``,
+    charges each wire segment with the current it would carry, accumulates
+    the resulting voltage drops along the word line (driver to cell) and
+    bit line (cell to sense amplifier), and re-evaluates the cell currents
+    at the degraded voltages — through the nonlinear I-V curve when
+    ``cell_iv`` is given.  Accurate to a few percent for realistic wire
+    resistances (validated against :func:`solve_ir_drop` in the tests).
+
+    Both drops are linear in the ideal currents with fixed kernels
+    (:func:`_line_kernel`; the driver sits before column 0, the sense
+    amplifier after the last row)::
+
+        row_drop[i, j] = sum_j' I[i, j'] * (r_driver + r_wire * min(j, j'))
+        col_lift[i, j] = sum_i' I[i', j] * (r_sense + r_wire * (rows-1 - max(i, i')))
+
+    so they are two small GEMMs against cached ``(cols, cols)`` /
+    ``(rows, rows)`` matrices, evaluated over one contiguous ``(jobs,
+    batch, rows, cols)`` layout with two temporaries of that size.  Because
+    ``I`` is the outer product of ``v`` and ``g``, the word-line GEMM runs
+    once per crossbar on ``g`` alone (``row_drop = v * (g @ K_row)``) and
+    the bit-line GEMM folds ``v`` into the kernel
+    (``col_lift = (K_col * v) @ g``).
 
     Batched evaluation: ``conductance`` may carry arbitrary leading axes
     ``(..., rows, cols)`` — one independent crossbar (fragment) per leading
@@ -336,39 +324,28 @@ def first_order_currents(conductance: np.ndarray, v_in: np.ndarray,
     v_in = np.asarray(v_in, dtype=np.float64)
     if conductance.ndim < 2:
         raise ValueError("conductance must be at least 2-D (..., rows, cols)")
-    rows = conductance.shape[-2]
+    rows, cols = conductance.shape[-2:]
     squeeze = v_in.ndim == conductance.ndim - 1
     v = v_in[..., None] if squeeze else v_in
     if v.shape[:-1] != conductance.shape[:-1]:
         raise ValueError(f"v_in shape {v_in.shape} incompatible with "
                          f"conductance shape {conductance.shape}")
+    batch = v.shape[-1]
+    g = conductance.reshape(-1, rows, cols)                # (jobs, rows, cols)
+    jobs = g.shape[0]
+    v_t = v.reshape(jobs, rows, batch).transpose(0, 2, 1)  # (jobs, batch, rows)
 
-    # Ideal per-cell currents, batch axis last: (..., rows, cols, B).
-    cell_i = conductance[..., None] * v[..., :, None, :]
-    zeros_col = np.zeros_like(cell_i[..., :, :1, :])
-    zeros_row = np.zeros_like(cell_i[..., :1, :, :])
-    # Word line: segment j carries the current of every cell at >= j;
-    # the drop accumulated at cell (i, j) sums segments 0..j-1 plus the
-    # driver resistance carrying the whole row current.
-    row_tail = np.flip(np.cumsum(np.flip(cell_i, axis=-2), axis=-2), axis=-2)
-    row_drop = wire.r_driver_ohm * row_tail[..., :, :1, :] + wire.r_wire_ohm * (
-        np.concatenate([zeros_col,
-                        np.cumsum(row_tail[..., :, 1:, :], axis=-2)], axis=-2))
-    # Bit line: segment below row i carries the current of every cell at
-    # <= i; the lift at cell (i, j) sums segments i..rows-2 plus the
-    # sense resistance carrying the whole column current.
-    col_head = np.cumsum(cell_i, axis=-3)
-    col_lift = wire.r_sense_ohm * col_head[..., rows - 1:rows, :, :] + \
-        wire.r_wire_ohm * np.concatenate(
-            [np.flip(np.cumsum(np.flip(col_head[..., :-1, :, :], axis=-3),
-                               axis=-3), axis=-3),
-             zeros_row], axis=-3)
-    effective_v = v[..., :, None, :] - row_drop - col_lift
-    if cell_iv is not None and not cell_iv.is_linear:
-        out = cell_iv.current(conductance[..., None], effective_v).sum(axis=-3)
-    else:
-        out = (conductance[..., None] * effective_v).sum(axis=-3)
-    return out[..., 0] if squeeze else out
+    row_kernel = _line_kernel(cols, wire.r_driver_ohm, wire.r_wire_ohm)
+    col_kernel = _line_kernel(rows, wire.r_sense_ohm, wire.r_wire_ohm)[::-1, ::-1]
+    lift = np.matmul((v_t[:, :, None, :] * col_kernel
+                      ).reshape(jobs, batch * rows, rows), g
+                     ).reshape(jobs, batch, rows, cols)
+    effective_v = v_t[..., None] * (1.0 - g @ row_kernel)[:, None]
+    effective_v -= lift
+    cell = (cell_iv or LINEAR_CELL).current(g[:, None], effective_v,
+                                            out=effective_v)
+    out = cell.sum(axis=-2).reshape(conductance.shape[:-2] + (batch, cols))
+    return out[..., 0, :] if squeeze else out.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -529,15 +506,17 @@ class ReadNoise:
 
     * :meth:`apply` consumes a sequential stream — the draw depends on call
       history (a fresh physical read every time);
-    * :meth:`apply_jobs` draws each kernel job from a *substream* keyed by
-      the job's identity (activation-block content hash, plane, bit-plane,
-      fragment).  The draw is then a pure function of (noise seed, input,
-      job), independent of chunk packing, evaluation order and worker
-      count — the property that makes noisy engine results bit-identical
-      across the fused kernel, the reference loop and any
-      ``repro.runtime`` worker configuration.  The trade-off is that
-      re-running the *same* input block repeats the same noise; treat the
-      seed as selecting one noise realization per distinct input.
+    * :meth:`apply_jobs` keys one *substream* per conversion-grid row —
+      (activation-block content hash, plane, bit-plane) — and takes
+      fragment ``f``'s noise as block ``f`` of that row's stream (the noisy
+      dense grid always schedules every fragment of a row), so an MVM
+      constructs at most ``planes x bits`` generators.  The draw is a pure
+      function of (noise seed, input, job), independent of chunk packing,
+      evaluation order and worker count — the property that makes noisy
+      engine results bit-identical across the fused kernel, the reference
+      loop and any ``repro.runtime`` worker configuration.  The trade-off
+      is that re-running the *same* input block repeats the same noise;
+      treat the seed as selecting one noise realization per distinct input.
 
     An unseeded model draws a fresh base seed at construction, so
     substreams stay deterministic *within* one instance but differ across
@@ -575,26 +554,38 @@ class ReadNoise:
         return np.asarray(currents, dtype=np.float64) + noise
 
     def substream(self, key) -> np.random.Generator:
-        """Deterministic generator for one job key (non-negative ints)."""
+        """Deterministic generator for one row key (non-negative ints)."""
         return np.random.default_rng(
             np.random.SeedSequence([self._base_seed, *map(int, key)]))
 
     def apply_jobs(self, currents: np.ndarray, keys) -> np.ndarray:
-        """Per-job keyed noise on a ``(jobs, ...)`` current batch.
+        """Keyed noise on a ``(jobs, ...)`` current batch.
 
-        ``keys`` carries one identity tuple per job along the leading axis;
-        each job's noise comes from its own substream, so the result does
-        not depend on how jobs were packed into this batch.
+        ``keys`` is a ``(jobs, k)`` array of non-negative integers, one
+        identity per job: the leading ``k - 1`` columns name the row
+        substream, the last is the job's block index in it.  Job noise is
+        that block of the row's stream, so the result does not depend on
+        how jobs were packed into this batch; one generator is constructed
+        per run of consecutive jobs sharing a row (a batch that starts
+        mid-row draws and discards the row's earlier blocks).
         """
-        out = np.asarray(currents, dtype=np.float64).copy()
-        if self.relative_sigma == 0.0:
+        out = np.array(currents, dtype=np.float64)
+        keys = np.asarray(keys, dtype=np.uint64)
+        if keys.ndim != 2 or keys.shape[0] != out.shape[0]:
+            raise ValueError(f"keys shape {keys.shape} for {out.shape[0]} jobs")
+        if self.relative_sigma == 0.0 or out.size == 0:
             return out
-        if len(keys) != out.shape[0]:
-            raise ValueError(f"{len(keys)} keys for {out.shape[0]} jobs")
         sigma = self.relative_sigma * self.full_scale_a
-        for j, key in enumerate(keys):
-            out[j] += self.substream(key).normal(0.0, sigma,
-                                                 size=out[j].shape)
+        flat = out.reshape(out.shape[0], -1)
+        rows, blocks = keys[:, :-1], keys[:, -1].astype(np.intp)
+        starts = np.flatnonzero(
+            np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+        for lo, hi in zip(starts, np.r_[starts[1:], len(keys)]):
+            block = blocks[lo:hi]
+            draw = self.substream(rows[lo]).standard_normal(
+                (int(block.max()) + 1, flat.shape[1]))
+            draw *= sigma
+            flat[lo:hi] += draw[block]
         return out
 
     def snr_db(self, signal_rms_a: float) -> float:

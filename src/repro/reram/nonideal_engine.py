@@ -52,19 +52,13 @@ class NonidealEngine(InSituLayerEngine):
         which is exactly the granularity advantage).
     read_noise:
         Additive Gaussian current noise at the sample-and-hold.  Kernel
-        and reference paths draw it through per-job keyed substreams
+        and reference paths draw it through row-keyed substreams
         (:meth:`~repro.reram.nonideal.ReadNoise.apply_jobs`), so noisy
         results are bit-identical across execution paths and worker
         counts.
     kernel_max_elements:
         Per-engine kernel chunk budget (see
         :class:`~repro.reram.engine.InSituLayerEngine`).
-    auto_tabulate:
-        Swap a nonlinear ``cell_iv`` for its interpolation table
-        (:meth:`~repro.reram.nonideal.CellIV.tabulated`) — bit-exact
-        within ADC quantization; off by default because NumPy's SIMD
-        ``np.sinh`` measures faster (``cell_iv_sinh_table`` in the perf
-        suite).
     """
 
     def __init__(self, mapped: MappedLayer, device: ReRAMDevice,
@@ -74,8 +68,7 @@ class NonidealEngine(InSituLayerEngine):
                  cell_iv: Optional[CellIV] = None,
                  read_noise: Optional[ReadNoise] = None,
                  die_cache: Optional[DieCache] = None,
-                 kernel_max_elements: Optional[int] = None,
-                 auto_tabulate: bool = False):
+                 kernel_max_elements: Optional[int] = None):
         if (wire is None) != (cell_iv is None):
             raise ValueError("wire and cell_iv must be supplied together")
         self.fault_fraction = 0.0
@@ -96,15 +89,6 @@ class NonidealEngine(InSituLayerEngine):
                          activation_bits=activation_bits, die_cache=die_cache,
                          kernel_max_elements=kernel_max_elements)
         self.wire = wire
-        # ``auto_tabulate`` swaps the sinh cell curve for its precomputed
-        # interpolation table (CellIV.tabulated) — bit-exact within ADC
-        # quantization, asserted against the closed form in the tests.  It
-        # defaults off because NumPy >= 2's SIMD-vectorized np.sinh beats
-        # any multi-pass gather on current hardware (measured in the perf
-        # suite); the knob exists for platforms with slow transcendentals.
-        if (auto_tabulate and cell_iv is not None and not cell_iv.is_linear
-                and cell_iv.table_points == 0):
-            cell_iv = cell_iv.tabulated()
         self.cell_iv = cell_iv
         self.read_noise = read_noise
 
@@ -116,9 +100,10 @@ class NonidealEngine(InSituLayerEngine):
         return self.read_noise is not None
 
     def _job_memory_factor(self, m: int) -> int:
-        # first_order_currents materializes ~6 (m, cols*slices, positions)
-        # intermediates per job; read-noise-only engines use the plain read.
-        return 6 * m if self.wire is not None else 1
+        # first_order_currents holds two (positions, m, cols*slices)
+        # temporaries per job (bit-line lift, effective cell voltage) beside
+        # the current tensor; read-noise-only engines use the plain read.
+        return 2 * m + 1 if self.wire is not None else 1
 
     def _job_currents(self, conductance: np.ndarray, drive: np.ndarray,
                       noise_keys=None) -> np.ndarray:
@@ -131,9 +116,9 @@ class NonidealEngine(InSituLayerEngine):
         IR-drop network is solved per job — batched over the whole jobs
         axis in a single :func:`first_order_currents` call.
 
-        ``noise_keys`` (one identity tuple per job, supplied by both the
+        ``noise_keys`` (one identity row per job, supplied by both the
         fused kernel and the reference loop) routes read noise through
-        deterministic per-job substreams, making noisy results independent
+        deterministic row-keyed substreams, making noisy results independent
         of job packing, evaluation order and worker count.
         """
         spec = self.device.spec

@@ -56,6 +56,7 @@ from __future__ import annotations
 import os
 import pickle
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
@@ -287,8 +288,13 @@ class WorkerPool:
             for proc in processes:
                 if proc.is_alive():
                     proc.terminate()
+            # The executor's management thread reaps the same children, so
+            # a join here can lose the waitpid race and return before the
+            # exit code is stored: poll until every worker reads as dead.
+            deadline = time.monotonic() + 5.0
             for proc in processes:
-                proc.join(timeout=5)
+                while proc.is_alive() and time.monotonic() < deadline:
+                    time.sleep(0.001)
             self._process_executor = None
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)

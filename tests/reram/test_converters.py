@@ -16,6 +16,21 @@ class TestDAC:
         with pytest.raises(ValueError):
             DACSpec().convert(np.array([2]))
 
+    @pytest.mark.parametrize("bad", [np.array([0, 1, 2]), np.array([1, -1]),
+                                     np.array([0.0, 0.5]),
+                                     np.array([[0, 1], [1, 3]], dtype=np.uint8)])
+    def test_rejects_every_non_bit_value(self, bad):
+        with pytest.raises(ValueError, match="DAC input must be 0/1 bits"):
+            DACSpec().convert(bad)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
+    def test_accepts_bit_arrays_of_any_dtype(self, dtype):
+        bits = np.array([[0, 1, 1], [1, 0, 0]]).astype(dtype)
+        out = DACSpec().convert(bits)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        assert DACSpec().convert(np.zeros((0, 3), dtype=dtype)).shape == (0, 3)
+
     def test_only_one_bit(self):
         with pytest.raises(ValueError):
             DACSpec(bits=2)
