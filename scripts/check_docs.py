@@ -26,17 +26,17 @@ would:
 7. Every metric name of ``repro.obs.METRIC_CATALOG`` appears backticked
    in ``docs/observability.md`` specifically — the exported ``/metrics``
    surface and its operator reference cannot drift apart.
-8. Every SSE event type of ``repro.serving.aio.STREAM_EVENTS`` appears
+8. Every SSE event type of ``repro.serving.wire.STREAM_EVENTS`` appears
    backticked in ``docs/serving.md`` specifically — the streaming
    protocol's event vocabulary and its operator reference cannot drift
    apart (the front end refuses to emit an undocumented type; this rule
    keeps "documented" honest).
 
 Rules 3-8 introspect the real parser (``repro.cli.build_parser``), the
-real wire contract (``repro.serving.http.ERROR_CODES``), the real
+real wire contract (``repro.serving.wire.ERROR_CODES``), the real
 executor surface (``repro.runtime.BACKENDS``), the real metric
 catalog (``repro.obs.metric_names``) and the real event vocabulary
-(``repro.serving.aio.STREAM_EVENTS``), so the gate tracks the code by
+(``repro.serving.wire.STREAM_EVENTS``), so the gate tracks the code by
 construction.  Run by ``scripts/checks.sh``.
 """
 
@@ -135,7 +135,7 @@ def check_cli_coverage(failures: list):
 
 def check_error_codes(failures: list) -> int:
     """Rule 5: every stable wire error code is in the error reference."""
-    from repro.serving.http import ERROR_CODES
+    from repro.serving.wire import ERROR_CODES
     corpus = docs_corpus()
     for code in ERROR_CODES:
         if f"`{code}`" not in corpus:
@@ -174,7 +174,7 @@ def check_metric_names(failures: list) -> int:
 
 def check_stream_events(failures: list) -> int:
     """Rule 8: every SSE event type is in the serving streaming section."""
-    from repro.serving.aio import STREAM_EVENTS
+    from repro.serving.wire import STREAM_EVENTS
     text = read_if_exists(REPO_ROOT / "docs" / "serving.md")
     for event in STREAM_EVENTS:
         if f"`{event}`" not in text:

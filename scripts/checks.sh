@@ -36,48 +36,46 @@
 #    must survive the strict exposition parser, `/v1/usage` must bill
 #    exactly the served/shed counts, and a served request's span tree
 #    must come back from `/v1/trace/<id>`.
-# 6. `bench_http.py --smoke` — two open-loop Poisson rate points driven
-#    as real `POST /v1/infer` traffic (client round-trip + server-side
-#    latency recorded; bit-identity of decoded outputs asserted per
-#    point).
-# 7. `bench_chaos.py --smoke` — two mixed-traffic points under scripted
+# 6. `bench_chaos.py --smoke` — two mixed-traffic points under scripted
 #    die faults: stuck-at flips land on both tenants' live dies, each
 #    point asserting checksum detection + online re-program recovery,
 #    bit-identity of every completed request against the *pre-fault*
 #    serial forward, and zero hung futures before recording.
-# 8. `python -m repro serve --cluster 2 --http 0 --http-demo` — the
+# 7. `python -m repro serve --cluster 2 --http 0 --http-demo` — the
 #    cluster failover smoke: boot two subprocess replicas behind the
 #    router, SIGKILL one mid-traffic and restart it, assert every
 #    completed response bit-identical to the serial forward, every
 #    failure a documented receipt, zero hung requests, and that the
 #    killed replica rejoined.
-# 9. `bench_obs.py --smoke` — the observability-overhead smoke: the
+# 8. `bench_obs.py --smoke` — the observability-overhead smoke: the
 #    open-loop serving point driven with the telemetry bundle armed and
 #    with Observability.disabled(), interleaved, asserting the two modes'
 #    outputs byte-identical before recording (the full run additionally
 #    gates overhead against the 5% mean-service-time budget).
-# 10. `python -m repro serve --async --http 0 --http-demo` — the async
+# 9. `python -m repro serve --async --http 0 --http-demo` — the async
 #    wire smoke: the step-5 replay through the asyncio front end under
 #    weighted-fair arbitration, plus an SSE streaming leg
 #    (`?stream=1`) whose per-event outputs and terminal `done` tally
 #    are verified against the serial forward and the usage meter.
-# 11. `bench_async.py --smoke` — two open-loop rate points with a
-#    barrier-synchronized crowd of concurrent connections held open on
-#    the asyncio front end (peak asserted server-side); bit-identity of
-#    every 200 and a documented shed receipt on every 503 asserted per
-#    point.
-# 12. `check_docs.py` — README.md and docs/architecture.md must exist and
+# 10. `check_docs.py` — README.md and docs/architecture.md must exist and
 #    mention every src/repro/* package, every docs/*.md page must be
 #    linked from the README, every `python -m repro` subcommand and
 #    `serve` flag must appear in the docs, every METRIC_CATALOG
 #    name must appear in docs/observability.md, and every STREAM_EVENTS
 #    type must appear in docs/serving.md (drift fails the check set).
-# 13. `benchmarks/e2e/run.py --workload offline_ideal --workload
-#    offline_nonideal --seed 0 --seconds 3` — the end-to-end benchmark's
-#    two offline workloads at a quarter length (about 20 s): the exit
-#    code gates bit-identity of every output against the serial forward
-#    (ideal, IR-drop, variation and read-noise engines), the golden
-#    digests at seed 0 and the thread / fd / shm leak counters.
+# 11. `benchmarks/e2e/run.py --workload offline_ideal --workload
+#    offline_nonideal --workload serve_http_single --workload
+#    serve_async_stream --seed 0 --seconds 3` — the end-to-end
+#    benchmark's two offline and two over-the-wire workloads at a
+#    quarter length (about 40 s): the exit code gates bit-identity of
+#    every output against the serial forward (ideal, IR-drop, variation
+#    and read-noise engines; JSON singles through the threaded shell,
+#    streamed npy_b64 batches through the asyncio shell), every non-200
+#    being a documented receipt, the golden digests at seed 0 and the
+#    thread / fd / shm leak counters.  (These gates, with tier-1's
+#    test_http.py and test_aio.py::TestTransportBackpressure, are what
+#    the former `bench_http.py --smoke` / `bench_async.py --smoke`
+#    steps asserted.)
 set -e
 
 cd "$(dirname "$0")/.."
@@ -108,11 +106,6 @@ echo "==> http wire smoke: serve --http 0 --http-demo"
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro serve \
     --http 0 --http-demo --models 2 --requests 12 --rate 400
 
-echo "==> http bench smoke: bench_http.py --smoke"
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_http.py \
-    --smoke --requests 12 \
-    -o "${HTTP_BENCH_OUTPUT:-/tmp/forms_http_smoke.json}"
-
 echo "==> chaos recovery smoke: bench_chaos.py --smoke"
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_chaos.py \
     --smoke --requests 12 \
@@ -132,16 +125,12 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro serve \
     --async --http 0 --http-demo --models 2 --requests 12 --rate 400 \
     --sla-mode weighted_fair
 
-echo "==> async bench smoke: bench_async.py --smoke"
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_async.py \
-    --smoke \
-    -o "${ASYNC_BENCH_OUTPUT:-/tmp/forms_async_smoke.json}"
-
 echo "==> docs check: check_docs.py"
 python scripts/check_docs.py
 
-echo "==> end-to-end benchmark smoke: benchmarks/e2e/run.py (offline workloads)"
+echo "==> end-to-end benchmark smoke: benchmarks/e2e/run.py (offline + wire workloads)"
 python3 benchmarks/e2e/run.py --workload offline_ideal \
-    --workload offline_nonideal --seed 0 --seconds 3
+    --workload offline_nonideal --workload serve_http_single \
+    --workload serve_async_stream --seed 0 --seconds 3
 
 echo "==> checks passed"

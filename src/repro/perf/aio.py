@@ -146,7 +146,7 @@ def drive_async_connections(rate_rps: float, connections: int, *,
     from ..serving import WireResult
     from ..serving.aio import AsyncFrontend
     from ..serving.demo import build_demo_server
-    from ..serving.http import encode_array
+    from ..serving.wire import encode_array
     from .serving import poisson_arrival_offsets
 
     if rate_rps <= 0:

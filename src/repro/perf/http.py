@@ -58,8 +58,8 @@ def replay_http_open_loop(client, plan: Sequence[Tuple[np.ndarray, Dict]],
     slow server shows up as queueing delay, not as a throttled offered
     rate.  Returns ``(outcomes, open_loop_s)`` where each outcome is
     ``{"latency_s", "result", "error"}`` in request order (``result`` a
-    :class:`~repro.serving.http.WireResult`; ``error`` an unraised
-    :class:`~repro.serving.http.HttpError` for protocol-level failures
+    :class:`~repro.serving.client.WireResult`; ``error`` an unraised
+    :class:`~repro.serving.client.HttpError` for protocol-level failures
     or the raw exception for transport-level ones — connection reset,
     timeout; exactly one of the two fields is ``None``).
 

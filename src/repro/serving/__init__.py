@@ -32,16 +32,21 @@ Components
   priority=..., deadline_s=...)`` / ``submit_async`` / ``submit_many``,
   graceful draining ``shutdown``, and ``from_model(...)`` lowering a
   float model through :func:`repro.reram.build_insitu_network`.
-* :class:`RequestQueue` / :class:`Batcher` — the FIFO queue (retained)
-  and the dispatch loop shared by both queue shapes.
-* :class:`HttpFrontend` / :class:`HttpClient` — the wire: a std-lib
-  threaded HTTP front end exposing ``submit`` as ``POST /v1/infer``
-  (plus ``/v1/infer_batch``, ``/v1/models``, ``/v1/stats``,
-  ``/healthz``) with structured shed/admission errors and a draining
-  shutdown — protocol reference in ``docs/serving.md``.
-* :class:`AsyncFrontend` (:mod:`repro.serving.aio`) — the same wire
-  protocol on one asyncio event loop: thousands of multiplexed
-  connections bridged onto ``submit_async`` via ``run_in_executor``,
+* :class:`Batcher` — the dispatch loop draining the :class:`SlaQueue`.
+* The wire (protocol reference in ``docs/serving.md``), one
+  implementation in four layers: :mod:`repro.serving.wire` (codecs,
+  envelopes, :data:`ERROR_CODES`, the exception -> error-reply map) →
+  :mod:`repro.serving.routes` (the one ``(method, path)`` table —
+  ``POST /v1/infer``, ``/v1/infer_batch``, ``GET /v1/models``,
+  ``/v1/stats``, ``/healthz``, … — over a replica or router backend) →
+  two shells that only move bytes → :mod:`repro.serving.client`
+  (:class:`HttpClient`, the other end of the same codecs).
+* :class:`HttpFrontend` (:mod:`repro.serving.http`) — the threaded
+  shell: std-lib ``ThreadingHTTPServer``, one thread per connection,
+  draining shutdown.
+* :class:`AsyncFrontend` (:mod:`repro.serving.aio`) — the asyncio
+  shell: thousands of multiplexed connections bridged onto
+  ``submit_async`` with one ``run_in_executor`` hop per request,
   server-sent-event streaming (``POST /v1/infer_batch?stream=1``,
   event types :data:`STREAM_EVENTS`), and connection-count /
   inflight-bytes backpressure through
@@ -52,7 +57,8 @@ Components
   interactive saturation; ``strict`` keeps the historical precedence.
 * :class:`ClusterRouter` / :class:`ReplicaDirectory` /
   :class:`ClusterHarness` (:mod:`repro.serving.cluster`) — the sharded
-  cluster over N replica front ends: consistent-hash placement,
+  cluster over N replica front ends (the router is the route table's
+  second backend, on the threaded shell): consistent-hash placement,
   health-checked failover and hedging, scatter/gather batches,
   ``cluster_unavailable`` receipts, and the subprocess kill/restart
   chaos harness behind ``python -m repro serve --cluster N``.
@@ -88,15 +94,15 @@ socket).
 """
 
 from ..obs import Observability
-from .aio import STREAM_EVENTS, TRANSPORT_SCOPE, AsyncFrontend
+from ..obs.trace import new_trace_id
+from .aio import TRANSPORT_SCOPE, AsyncFrontend
+from .client import HttpClient, HttpError, WireResult
 from .cluster import (ClusterHarness, ClusterRouter, ReplicaDirectory,
                       ReplicaProcess, RoutingPolicy)
 from .health import (DIE_HEALTHY, DIE_QUARANTINED, DIE_REPROGRAMMING,
                      DieHealthRegistry)
-from .http import (DEFAULT_RETRY_AFTER_S, ERROR_CODES, HttpClient, HttpError,
-                   HttpFrontend, WireFormatError, WireResult, iter_sse_events,
-                   new_trace_id)
-from .queue import Batcher, PendingRequest, QueueClosed, RequestQueue
+from .http import HttpFrontend
+from .queue import Batcher, QueueClosed
 from .registry import ModelRegistry, RegisteredModel
 from .scheduler import (SHED_ADMISSION, SHED_DEADLINE, SHED_FAULT_RECOVERY,
                         SHED_LATENCY_BOUND, SLA_MODE_STRICT,
@@ -105,6 +111,8 @@ from .scheduler import (SHED_ADMISSION, SHED_DEADLINE, SHED_FAULT_RECOVERY,
                         ShedReceipt, SlaPolicy, SlaQueue, SlaRequest)
 from .server import DEFAULT_MODEL, InferenceServer
 from .stats import RequestStats, ServedResult, ServerStats
+from .wire import (DEFAULT_RETRY_AFTER_S, ERROR_CODES, STREAM_EVENTS,
+                   WireFormatError, iter_sse_events)
 
 __all__ = [
     "AdmissionController", "AsyncFrontend", "Batcher", "ClusterHarness",
@@ -113,10 +121,10 @@ __all__ = [
     "DIE_HEALTHY", "DIE_QUARANTINED", "DIE_REPROGRAMMING",
     "DieHealthRegistry", "ERROR_CODES",
     "HttpClient", "HttpError", "HttpFrontend", "InferenceServer",
-    "ModelRegistry", "Observability", "PendingRequest", "PriorityClass",
+    "ModelRegistry", "Observability", "PriorityClass",
     "QueueClosed",
     "RegisteredModel", "ReplicaDirectory", "ReplicaProcess",
-    "RequestQueue", "RequestShed", "RequestStats", "RoutingPolicy",
+    "RequestShed", "RequestStats", "RoutingPolicy",
     "SHED_ADMISSION", "SHED_DEADLINE", "SHED_FAULT_RECOVERY",
     "SHED_LATENCY_BOUND",
     "SLA_MODES", "SLA_MODE_STRICT", "SLA_MODE_WEIGHTED_FAIR",

@@ -1,29 +1,31 @@
-"""Asyncio front end: the PR-5 wire protocol at thousands of connections.
+"""The asyncio shell of the wire protocol: thousands of connections.
 
-The threaded :class:`~repro.serving.http.HttpFrontend` spends one OS
-thread per connection — fine for tens of clients, hopeless for the
-ROADMAP's "millions of users" shape where most connections are *idle*
-(queued behind the SLA scheduler, or holding a stream open).  This
-module serves the **same wire protocol** from a single std-lib
-``asyncio`` event loop:
+The threaded shell (:mod:`repro.serving.http`) spends one OS thread per
+connection — fine for tens of clients, hopeless for the ROADMAP's
+"millions of users" shape where most connections are *idle* (queued
+behind the SLA scheduler, or holding a stream open).  This module serves
+the **same wire protocol** from a single std-lib ``asyncio`` event loop:
 
-* every encode/decode path is imported from :mod:`repro.serving.http`
-  (``encode_array`` / ``decode_input`` / ``result_body`` /
-  ``error_body`` / ``shed_body`` / ``_submit_kwargs``), so the threaded
-  and async front ends *cannot* drift — one codec, two schedulers;
-* request handlers bridge onto the blocking
-  :meth:`~repro.serving.server.InferenceServer.submit_async` via
-  ``loop.run_in_executor`` (the submit takes the server's shutdown lock
-  and touches the registry — off the loop), then ``asyncio.wrap_future``
-  awaits the resulting :class:`concurrent.futures.Future` without
-  blocking the loop: ten thousand pending requests cost ten thousand
-  coroutines, not ten thousand threads;
+* it decides nothing about a request: route resolution, body bounds,
+  JSON and envelope validation, the error map and every response body
+  come from :mod:`repro.serving.routes` / :mod:`repro.serving.wire` —
+  the very functions the threaded shell calls — so the two front ends
+  answer alike by construction, and
+  ``tests/serving/test_route_conformance.py`` walks the route table on
+  both (and on the cluster router) to keep it so;
+* :func:`repro.serving.routes.run` — parse, decode and the blocking
+  :meth:`~repro.serving.server.InferenceServer.submit_async` calls (the
+  submit takes the server's shutdown lock and touches the registry) —
+  runs in **one** ``run_in_executor`` hop per request, then
+  ``asyncio.wrap_future`` awaits the resulting futures without blocking
+  the loop: ten thousand pending requests cost ten thousand coroutines,
+  not ten thousand threads;
 * ``POST /v1/infer_batch?stream=1`` answers as a **server-sent event
   stream** (``Content-Type: text/event-stream``): one event per item *in
   resolution order* (each carries its request-order ``index``), a
   terminal ``done`` summary, then the connection closes.  The event
-  types are :data:`STREAM_EVENTS` — documented in ``docs/serving.md``
-  and enforced by ``scripts/check_docs.py``;
+  types are :data:`~repro.serving.wire.STREAM_EVENTS` — documented in
+  ``docs/serving.md`` and enforced by ``scripts/check_docs.py``;
 * **transport backpressure** rides the same
   :class:`~repro.serving.scheduler.AdmissionController` that throttles
   queue intake: ``max_connections`` refuses new sockets,
@@ -54,25 +56,16 @@ import asyncio
 import json
 import threading
 import time
-from functools import partial
 from typing import Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
 
-from ..obs import PROMETHEUS_CONTENT_TYPE, instrument
-from ..obs.trace import new_trace_id, span_dict
-from ..reram.faults import DieFaultDetected
-from .http import (DEFAULT_MAX_BODY_BYTES, DEFAULT_RETRY_AFTER_S,
-                   _TRACE_ID_RE, WireFormatError, _submit_kwargs,
-                   decode_array_b64, decode_array_json, decode_input,
-                   error_body, result_body, shed_body)
-from .queue import QueueClosed
-from .scheduler import RequestShed, SHED_ADMISSION, ShedReceipt
-
-#: the server-sent event types of the streaming path, in emission order
-#: (``result`` / ``shed`` interleave in resolution order; exactly one
-#: terminal ``done``).  check_docs.py fails the check set if any of
-#: these is missing from docs/serving.md.
-STREAM_EVENTS = ("result", "shed", "done")
+from ..obs import instrument
+from ..obs.trace import span_dict
+from . import routes, wire
+from .routes import Pending, Request, Shell
+from .scheduler import (SHED_ADMISSION, AdmissionController, RequestShed,
+                        ShedReceipt)
+from .wire import (DEFAULT_MAX_BODY_BYTES, DEFAULT_RETRY_AFTER_S,
+                   STREAM_EVENTS, WireFormatError)
 
 #: model / priority-class label on transport-level shed receipts (a
 #: connection or body refused before any model was named)
@@ -103,29 +96,15 @@ class _Conn:
         self.busy = False
 
 
-class _Request:
-    """One parsed request envelope plus the reply bookkeeping."""
-
-    __slots__ = ("method", "path", "query", "headers", "trace_id", "close")
-
-    def __init__(self, method: str, path: str, headers: Dict[str, str]):
-        split = urlsplit(path)
-        self.method = method
-        self.path = split.path
-        self.query = parse_qs(split.query)
-        self.headers = headers
-        supplied = headers.get("x-request-id")
-        if supplied is not None and _TRACE_ID_RE.match(supplied):
-            self.trace_id = supplied
-        else:
-            self.trace_id = new_trace_id()
-        self.close = False
-
-    def flag(self, name: str) -> bool:
-        return self.query.get(name, ["0"])[-1] in ("1", "true", "yes")
+def _head(status: int, headers: List[Tuple[str, str]], close: bool) -> bytes:
+    lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+             "Server: forms-serving-aio/1"]
+    lines += [f"{name}: {value}" for name, value in headers]
+    lines.append("Connection: close" if close else "Connection: keep-alive")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
-class AsyncFrontend:
+class AsyncFrontend(Shell):
     """The asyncio front end over one :class:`InferenceServer`.
 
     Same constructor surface as the threaded
@@ -154,28 +133,19 @@ class AsyncFrontend:
                  owns_server: bool = False, log=None,
                  max_connections: Optional[int] = None,
                  max_inflight_bytes: Optional[int] = None):
-        if max_body_bytes < 1:
-            raise ValueError("max_body_bytes must be >= 1")
-        if retry_after_s is not None and retry_after_s < 0:
-            raise ValueError("retry_after_s must be >= 0 (or None)")
+        super().__init__(routes.build_table(routes.ReplicaBackend(server)),
+                         max_body_bytes, retry_after_s, log)
         self.server = server
-        self.max_body_bytes = max_body_bytes
-        self.retry_after_s = retry_after_s
         self.owns_server = owns_server
-        self.log = log
         if max_connections is not None or max_inflight_bytes is not None:
-            from .scheduler import AdmissionController
             self.admission = AdmissionController(
                 max_connections=max_connections,
                 max_inflight_bytes=max_inflight_bytes)
         else:
             self.admission = getattr(server, "admission", None)
         self._requested = (host, port)
-        self._draining = False
-        self._shut_down = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._aio_server: Optional[asyncio.AbstractServer] = None
-        self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
         self._start_error: Optional[BaseException] = None
         self._sockname: Tuple[str, int] = (host, port)
@@ -191,7 +161,6 @@ class AsyncFrontend:
         self._m_events = instrument(obs.metrics, "forms_stream_events_total")
         obs.add_scrape_hook(self._refresh_gauges)
 
-    # -- address -----------------------------------------------------------
     @property
     def host(self) -> str:
         return self._sockname[0]
@@ -199,14 +168,6 @@ class AsyncFrontend:
     @property
     def port(self) -> int:
         return self._sockname[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     @property
     def connections(self) -> int:
@@ -307,59 +268,12 @@ class AsyncFrontend:
         for conn in list(self._conns):   # stragglers: abort, never hang
             conn.writer.close()
 
-    def __enter__(self) -> "AsyncFrontend":
-        if self._thread is None:
-            self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-    # -- wire plumbing -------------------------------------------------------
-    def _head(self, status: int, content_type: str,
-              length: Optional[int], *, trace_id: Optional[str] = None,
-              retry_after: Optional[float] = None,
-              close: bool = False) -> bytes:
-        lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-                 "Server: forms-serving-aio/1",
-                 f"Content-Type: {content_type}"]
-        if length is not None:
-            lines.append(f"Content-Length: {length}")
-        if trace_id is not None:
-            lines.append(f"X-Request-Id: {trace_id}")
-        if retry_after is not None:
-            lines.append(f"Retry-After: {retry_after:g}")
-        lines.append("Connection: close" if close else
-                     "Connection: keep-alive")
-        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-
-    async def _reply(self, writer: asyncio.StreamWriter, request: _Request,
-                     status: int, body: Dict) -> None:
-        retry_after = self.retry_after_s if status == 503 else None
-        error = body.get("error")
-        if isinstance(error, dict):
-            if retry_after is not None:
-                error.setdefault("retry_after_s", retry_after)
-            error.setdefault("trace_id", request.trace_id)
-        data = json.dumps(body).encode("utf-8")
-        writer.write(self._head(status, "application/json", len(data),
-                                trace_id=request.trace_id,
-                                retry_after=retry_after,
-                                close=request.close) + data)
-        await writer.drain()
-
-    async def _reply_error(self, writer, request, status: int, code: str,
-                           message: str, **extra) -> None:
-        await self._reply(writer, request, status,
-                          error_body(code, message, **extra))
-
-    async def _reply_text(self, writer, request, status: int, text: str,
-                          content_type: str = PROMETHEUS_CONTENT_TYPE
-                          ) -> None:
-        data = text.encode("utf-8")
-        writer.write(self._head(status, content_type, len(data),
-                                trace_id=request.trace_id,
-                                close=request.close) + data)
+    # -- socket reads and writes ---------------------------------------------
+    async def _reply(self, writer: asyncio.StreamWriter, request: Request,
+                     status: int, body) -> None:
+        data, headers = wire.render(status, body, request.trace_id,
+                                    self.retry_after_s)
+        writer.write(_head(status, headers, request.close) + data)
         await writer.drain()
 
     async def _read_request(self, reader: asyncio.StreamReader
@@ -385,8 +299,10 @@ class AsyncFrontend:
                 headers[name.strip().lower()] = value.strip()
         return parts, headers
 
-    def _transport_shed(self, trace_id: str, detail: str) -> RequestShed:
-        """Build + account one transport-level admission refusal.
+    def _admit_transport(self, request: Request, declared: int,
+                         detail: str) -> None:
+        """Raise the :class:`RequestShed` of a transport-level admission
+        refusal when the caps are hit with ``declared`` more body bytes.
 
         The receipt rides the server's single shed-record site, so the
         stats window, ``forms_requests_shed_total`` and the usage meter
@@ -394,31 +310,32 @@ class AsyncFrontend:
         queue sheds — the acceptance criterion's "sheds only as
         documented receipts" includes backpressure.
         """
+        if self.admission is None or self.admission.admit_transport(
+                len(self._conns), self._inflight_bytes + declared):
+            return
         receipt = ShedReceipt(
             request_id=-1, model=TRANSPORT_SCOPE,
             priority_class=TRANSPORT_SCOPE, reason=SHED_ADMISSION,
-            queue_wait_s=0.0, trace_id=trace_id)
+            queue_wait_s=0.0, trace_id=request.trace_id)
         record = getattr(self.server, "_record_shed", None)
         if record is not None:
             record(receipt)
-        self._log(f"transport shed: {detail}")
-        return RequestShed(receipt)
+        self._log(f"transport shed: {detail} at {len(self._conns)} open, "
+                  f"{self._inflight_bytes} bytes in flight")
+        raise RequestShed(receipt)
 
     # -- connection loop -----------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        if (self.admission is not None
-                and not self.admission.admit_transport(
-                    len(self._conns), self._inflight_bytes)):
+        opening = Request("", "/", None)
+        try:
+            self._admit_transport(opening, 0, "connection refused")
+        except RequestShed as exc:
             # refused before reading a byte: answer 503 shed and close
             # (our client reads the early response instead of the pipe)
-            request = _Request("", "/", {})
-            request.close = True
-            exc = self._transport_shed(request.trace_id,
-                                       f"connection refused at "
-                                       f"{len(self._conns)} open")
             try:
-                await self._reply(writer, request, 503, shed_body(exc))
+                await self._reply(writer, opening,
+                                  *routes.refuse(opening, exc))
             except (ConnectionError, OSError):
                 pass
             writer.close()
@@ -447,277 +364,63 @@ class AsyncFrontend:
     async def _dispatch(self, reader, writer, head) -> bool:
         """Serve one request; returns whether to keep the connection."""
         parts, headers = head
-        if len(parts) != 3:
-            request = _Request("", "/", headers)
-            request.close = True
-            await self._reply_error(writer, request, 400, "invalid_request",
-                                    "unparseable request line")
-            return False
-        request = _Request(parts[0], parts[1], headers)
-        if headers.get("connection", "").lower() == "close":
-            request.close = True
+        supplied_id = headers.get("x-request-id")
         try:
-            if request.method == "GET":
-                await self._handle_get(writer, request)
-            elif request.method == "POST":
-                await self._handle_post(reader, writer, request)
-            else:
-                request.close = True
-                await self._reply_error(
-                    writer, request, 405, "method_not_allowed",
-                    f"method {request.method!r} is not part of the protocol")
+            if len(parts) != 3:
+                request = Request("", "/", supplied_id)
+                await self._reply(writer, request, *routes.refuse(
+                    request, WireFormatError(400, "invalid_request",
+                                             "unparseable request line")))
+                return False
+            request = Request(parts[0], parts[1], supplied_id,
+                              can_stream=True)
+            request.close = headers.get("connection", "").lower() == "close"
+            await self._serve(reader, writer, request,
+                              headers.get("content-length"))
         except (ConnectionError, OSError):
             return False
         self._log(f"{request.method} {request.path}")
         return not request.close
 
-    # -- GET endpoints -------------------------------------------------------
-    async def _handle_get(self, writer, request: _Request) -> None:
-        server = self.server
-        loop = asyncio.get_running_loop()
-        path = request.path
-        if path == "/healthz":
-            await self._handle_healthz(writer, request)
-        elif path == "/v1/stats":
-            body = await loop.run_in_executor(None, server.server_stats)
-            await self._reply(writer, request, 200, body)
-        elif path == "/v1/models":
-            body = await loop.run_in_executor(None, server.registry_stats)
-            await self._reply(writer, request, 200, body)
-        elif path == "/metrics":
-            text = await loop.run_in_executor(None, server.metrics_text)
-            await self._reply_text(writer, request, 200, text)
-        elif path == "/v1/usage":
-            body = await loop.run_in_executor(None, server.usage_snapshot)
-            await self._reply(writer, request, 200, body)
-        elif path.startswith("/v1/trace/"):
-            record = server.trace(path[len("/v1/trace/"):])
-            if record is None:
-                await self._reply_error(
-                    writer, request, 404, "not_found",
-                    "no stored trace for that id (never seen, evicted "
-                    "from the ring, or tracing is disabled)")
-            else:
-                await self._reply(writer, request, 200, record)
-        elif path in ("/v1/infer", "/v1/infer_batch"):
-            await self._reply_error(writer, request, 405,
-                                    "method_not_allowed",
-                                    f"{path} requires POST")
-        else:
-            await self._reply_error(writer, request, 404, "not_found",
-                                    f"unknown path {path!r}")
-
-    async def _handle_healthz(self, writer, request: _Request) -> None:
-        draining = self.draining
-        body = {
-            "status": "draining" if draining else "ok",
-            "draining": draining,
-            "models": self.server.registry.names(),
-        }
-        health = getattr(self.server, "die_health", None)
-        if health is not None:
-            body["dies"] = health.counts()
-            if not draining and health.degraded:
-                body["status"] = "degraded"
-        await self._reply(writer, request, 503 if draining else 200, body)
-
-    # -- POST endpoints ------------------------------------------------------
-    async def _read_body(self, reader, writer,
-                         request: _Request) -> Optional[bytes]:
-        """Bounded body read mirroring the threaded ``_read_body``."""
-        length_header = request.headers.get("content-length")
-        if length_header is None:
-            request.close = True
-            await self._reply_error(writer, request, 411, "length_required",
-                                    "POST requires a Content-Length header")
-            return None
-        try:
-            length = int(length_header)
-            if length < 0:
-                raise ValueError
-        except ValueError:
-            request.close = True
-            await self._reply_error(
-                writer, request, 400, "invalid_request",
-                "Content-Length is not a non-negative integer")
-            return None
-        if length > self.max_body_bytes:
-            request.close = True
-            await self._reply_error(
-                writer, request, 413, "body_too_large",
-                f"request body of {length} bytes exceeds the "
-                f"{self.max_body_bytes}-byte bound",
-                max_body_bytes=self.max_body_bytes)
-            return None
-        try:
-            return await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            request.close = True
-            await self._reply_error(writer, request, 400, "invalid_request",
-                                    "truncated request body")
-            return None
-
-    async def _handle_post(self, reader, writer, request: _Request) -> None:
-        if request.path not in ("/v1/infer", "/v1/infer_batch"):
-            request.close = True
-            if request.path in ("/healthz", "/v1/stats", "/v1/models",
-                                "/metrics", "/v1/usage") \
-                    or request.path.startswith("/v1/trace/"):
-                await self._reply_error(writer, request, 405,
-                                        "method_not_allowed",
-                                        f"{request.path} requires GET")
-            else:
-                await self._reply_error(writer, request, 404, "not_found",
-                                        f"unknown path {request.path!r}")
-            return
-        try:
-            declared = max(0, int(request.headers.get("content-length", 0)))
-        except ValueError:
-            declared = 0   # _read_body rejects the bad header with a 400
-        if (self.admission is not None
-                and not self.admission.admit_transport(
-                    len(self._conns), self._inflight_bytes + declared)):
-            # refuse before buffering the body — the whole point of the
-            # inflight-bytes bound: the check charges the *declared*
-            # length, so a body that would push residency past the cap
-            # never gets read.  Unread body ⇒ the connection cannot be
-            # reused.
-            request.close = True
-            exc = self._transport_shed(
-                request.trace_id,
-                f"body of {declared} bytes refused at "
-                f"{self._inflight_bytes} bytes in flight")
-            await self._reply(writer, request, 503, shed_body(exc))
-            return
-        body = await self._read_body(reader, writer, request)
-        if body is None:
-            return
-        if self.draining:
-            await self._reply_error(writer, request, 503, "shutting_down",
-                                    "the server is draining; request refused")
-            return
-        self._inflight_bytes += len(body)
+    async def _serve(self, reader, writer, request: Request,
+                     length_header: Optional[str]) -> None:
+        held = 0
         try:
             try:
-                payload = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                await self._reply_error(
-                    writer, request, 400, "malformed_json",
-                    f"request body is not valid JSON: {exc}")
+                handler, length = routes.admit(
+                    self.table, request, length_header, self.max_body_bytes)
+                body = None
+                if length is not None:
+                    # refuse before buffering the body — the whole point
+                    # of the inflight-bytes bound: the check charges the
+                    # *declared* length, so a body that would push
+                    # residency past the cap never gets read
+                    self._admit_transport(request, length,
+                                          f"body of {length} bytes refused")
+                    try:
+                        body = await reader.readexactly(length)
+                    except asyncio.IncompleteReadError as exc:
+                        body = exc.partial
+                    wire.whole_body(body, length)
+            except (WireFormatError, RequestShed) as exc:
+                await self._reply(writer, request,
+                                  *routes.refuse(request, exc))
                 return
-            if not isinstance(payload, dict):
-                await self._reply_error(writer, request, 400,
-                                        "malformed_json",
-                                        "request body must be a JSON object")
-                return
-            try:
-                if request.path == "/v1/infer":
-                    await self._handle_infer(writer, request, payload)
-                else:
-                    await self._handle_infer_batch(writer, request, payload)
-            except WireFormatError as exc:
-                await self._reply_error(writer, request, exc.status,
-                                        exc.code, str(exc))
-            except RequestShed as exc:
-                await self._reply(writer, request, 503, shed_body(exc))
-            except QueueClosed as exc:
-                await self._reply_error(writer, request, 503,
-                                        "shutting_down", str(exc))
-            except DieFaultDetected as exc:
-                await self._reply_error(writer, request, 503, "die_fault",
-                                        str(exc))
-            except RuntimeError as exc:
-                if "shut down" in str(exc):
-                    await self._reply_error(writer, request, 503,
-                                            "shutting_down", str(exc))
-                else:
-                    await self._reply_error(writer, request, 500,
-                                            "internal", str(exc))
-            except (ConnectionError, OSError):
-                raise
-            except Exception as exc:   # noqa: BLE001 — the wire must answer
-                await self._reply_error(writer, request, 500, "internal",
-                                        f"{type(exc).__name__}: {exc}")
+            held = length or 0
+            self._inflight_bytes += held
+            loop = asyncio.get_running_loop()
+            reply = await loop.run_in_executor(
+                None, routes.run, handler, request, body, self.draining)
+            if isinstance(reply, Pending):
+                futures = [asyncio.wrap_future(f) for f in reply.futures]
+                if request.stream and reply.item is not None:
+                    await self._stream(writer, request, futures, reply.item)
+                    return
+                reply = routes.finish(reply, await asyncio.gather(
+                    *futures, return_exceptions=True))
+            await self._reply(writer, request, *reply)
         finally:
-            self._inflight_bytes -= len(body)
-
-    async def _submit(self, image, kwargs) -> asyncio.Future:
-        """The executor bridge: enqueue off-loop, await without blocking."""
-        loop = asyncio.get_running_loop()
-        try:
-            future = await loop.run_in_executor(
-                None, partial(self.server.submit_async, image, **kwargs))
-        except ValueError as exc:
-            raise WireFormatError(400, "invalid_input", str(exc))
-        return asyncio.wrap_future(future, loop=loop)
-
-    async def _handle_infer(self, writer, request: _Request,
-                            payload: Dict) -> None:
-        image, binary = decode_input(payload)
-        kwargs = _submit_kwargs(self.server, payload)
-        kwargs["trace_id"] = request.trace_id
-        result = await (await self._submit(image, kwargs))
-        await self._reply(writer, request, 200, result_body(result, binary))
-
-    async def _handle_infer_batch(self, writer, request: _Request,
-                                  payload: Dict) -> None:
-        has_json = "inputs" in payload
-        has_b64 = "inputs_b64" in payload
-        raw = payload.get("inputs_b64" if has_b64 else "inputs")
-        if has_json == has_b64 or not isinstance(raw, list) or not raw:
-            raise WireFormatError(
-                400, "invalid_request",
-                "pass exactly one non-empty list: 'inputs' (nested JSON "
-                "arrays) or 'inputs_b64' (base64 .npy strings)")
-        binary = has_b64
-        images = [decode_array_b64(item) if binary
-                  else decode_array_json(item) for item in raw]
-        kwargs = _submit_kwargs(self.server, payload)
-        kwargs["trace_id"] = request.trace_id
-        loop = asyncio.get_running_loop()
-        futures: List[asyncio.Future] = []
-        submit_error = None
-        for index, image in enumerate(images):
-            try:
-                raw_future = await loop.run_in_executor(
-                    None,
-                    partial(self.server.submit_async, image, **kwargs))
-            except (ValueError, RuntimeError) as exc:
-                submit_error = (index, exc)
-                break
-            futures.append(asyncio.wrap_future(raw_future, loop=loop))
-        if submit_error is not None:
-            # never strand what was already enqueued
-            for future in futures:
-                try:
-                    await future
-                except RequestShed:
-                    pass
-            index, exc = submit_error
-            if isinstance(exc, RuntimeError) and "shut down" in str(exc):
-                code, status = "shutting_down", 503
-            else:
-                code, status = "invalid_input", 400
-            await self._reply_error(writer, request, status, code,
-                                    f"inputs[{index}]: {exc}", index=index)
-            return
-        if request.flag("stream"):
-            await self._stream_results(writer, request, futures, binary)
-            return
-        items: List[Dict] = []
-        served = shed = 0
-        for future in futures:
-            try:
-                result = await future
-                items.append(result_body(result, binary))
-                served += 1
-            except RequestShed as exc:
-                items.append(shed_body(exc))
-                shed += 1
-        status = 200 if shed == 0 else (503 if served == 0 else 207)
-        await self._reply(writer, request, status,
-                          {"results": items, "completed": served,
-                           "shed": shed})
+            self._inflight_bytes -= held
 
     # -- the SSE streaming path ----------------------------------------------
     async def _write_event(self, writer, event: str, body: Dict) -> None:
@@ -727,9 +430,8 @@ class AsyncFrontend:
         await writer.drain()
         self._m_events.labels(event).inc()
 
-    async def _stream_results(self, writer, request: _Request,
-                              futures: List[asyncio.Future],
-                              binary: bool) -> None:
+    async def _stream(self, writer, request: Request,
+                      futures: List[asyncio.Future], item) -> None:
         """Emit one SSE event per item *as it resolves* plus a ``done``.
 
         Events carry the request-order ``index`` so an out-of-order
@@ -740,17 +442,16 @@ class AsyncFrontend:
         """
         start = time.perf_counter()
         request.close = True   # SSE has no Content-Length: close delimits
-        writer.write(self._head(200, "text/event-stream", None,
-                                trace_id=request.trace_id, close=True)
-                     .replace(b"\r\n\r\n",
-                              b"\r\nCache-Control: no-store\r\n\r\n"))
+        writer.write(_head(200, [("Content-Type", "text/event-stream"),
+                                 ("X-Request-Id", request.trace_id),
+                                 ("Cache-Control", "no-store")], True))
         await writer.drain()
 
         async def resolve(index: int, future: asyncio.Future):
             try:
-                return index, await future, None
-            except RequestShed as exc:
-                return index, None, exc
+                return index, item(await future)
+            except Exception as exc:   # noqa: BLE001 — an event, not a tear
+                return index, wire.error_reply(exc)[1]
 
         tasks = [asyncio.ensure_future(resolve(index, future))
                  for index, future in enumerate(futures)]
@@ -758,30 +459,22 @@ class AsyncFrontend:
         outcome = "completed"
         try:
             for task in asyncio.as_completed(tasks):
-                index, result, exc = await task
-                if exc is None:
-                    body = result_body(result, binary)
-                    body["index"] = index
-                    await self._write_event(writer, "result", body)
-                    served += 1
-                else:
-                    body = shed_body(exc)
-                    body["index"] = index
-                    error = body["error"]
-                    if self.retry_after_s is not None:
-                        error.setdefault("retry_after_s", self.retry_after_s)
-                    error.setdefault("trace_id", request.trace_id)
+                index, body = await task
+                body["index"] = index
+                if "error" in body:
+                    wire.mark_error(body, request.trace_id,
+                                    self.retry_after_s)
                     await self._write_event(writer, "shed", body)
                     shed += 1
+                else:
+                    await self._write_event(writer, "result", body)
+                    served += 1
             await self._write_event(writer, "done",
                                     {"completed": served, "shed": shed})
         except (ConnectionError, OSError):
             outcome = "aborted"
-            for task in tasks:   # drain: the futures resolve regardless
-                try:
-                    await task
-                except Exception:   # noqa: BLE001 — already accounted
-                    pass
+            # drain: the futures resolve regardless
+            await asyncio.gather(*tasks, return_exceptions=True)
             raise
         finally:
             self._m_streams.labels(outcome).inc()

@@ -32,7 +32,8 @@ import hashlib
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..http import TRANSPORT_ERRORS, HttpClient
+from ..client import TRANSPORT_ERRORS, HttpClient
+from ..routes import HEALTHZ
 
 #: replica health states (the /v1/cluster wire vocabulary)
 REPLICA_UP = "up"
@@ -243,7 +244,7 @@ class ReplicaDirectory:
         client = self._client_factory(replica.host, replica.port,
                                       self.probe_timeout_s)
         try:
-            status, payload = client.request("GET", "/healthz")
+            status, payload = client.request("GET", HEALTHZ)
         except TRANSPORT_ERRORS:
             return False, None
         return status == 200, payload if isinstance(payload, dict) else None

@@ -34,7 +34,8 @@ import tempfile
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..http import TRANSPORT_ERRORS, HttpClient
+from ..client import TRANSPORT_ERRORS, HttpClient
+from ..routes import HEALTHZ
 from .directory import ReplicaDirectory
 from .router import ClusterRouter, RoutingPolicy
 
@@ -131,7 +132,7 @@ class ReplicaProcess:
                     f"replica {self.name} died during boot "
                     f"(exit {self.proc.returncode}):\n{self.stderr_tail()}")
             try:
-                status, _ = client.request("GET", "/healthz")
+                status, _ = client.request("GET", HEALTHZ)
             except TRANSPORT_ERRORS:
                 time.sleep(0.05)
                 continue

@@ -44,10 +44,16 @@ for serving metrics), and ``GET /v1/trace/<id>`` returns the stored
 routing decision (a ``router.route`` span whose children are the
 ``attempt`` spans) for a request id — the same id the chosen replica
 stores its serving span tree under, so one id yields both halves of the
-story.  The router's ``X-Request-Id`` handling is inherited from
-:class:`~repro.serving.http.JsonHttpHandler` and the id is *forwarded*
-to the chosen replica, so one trace id follows a request through router
-log, replica receipt and error body.
+story.  The id the shell adopted is *forwarded* to the chosen replica,
+so one trace id follows a request through router log, replica receipt
+and error body.
+
+The router is not a server of its own: it is the second backend of the
+route table (:mod:`repro.serving.routes` — the first is a replica's
+:class:`~repro.serving.routes.ReplicaBackend`) running on the same
+threaded shell as :class:`~repro.serving.http.HttpFrontend`, so verbs,
+query strings, body bounds, the error envelope and the drain order are
+that shell's, not a copy of them.
 """
 
 from __future__ import annotations
@@ -56,13 +62,15 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from http.server import ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ...obs import Observability, instrument, span_dict
-from ..http import (DEFAULT_MAX_BODY_BYTES, DEFAULT_RETRY_AFTER_S,
-                    TRANSPORT_ERRORS, HttpClient, JsonHttpHandler,
-                    error_body)
+from .. import routes, wire
+from ..client import TRANSPORT_ERRORS, HttpClient
+from ..http import ThreadedShell
+from ..routes import INFER, INFER_BATCH, Request
+from ..wire import (DEFAULT_MAX_BODY_BYTES, DEFAULT_RETRY_AFTER_S, Reply,
+                    WireFormatError, error_body)
 from .directory import ReplicaDirectory
 
 #: 503 codes that mean "this replica cannot take the work right now,
@@ -149,172 +157,40 @@ class RouterStats:
             }
 
 
-def _unavailable_error(model: Optional[str], attempts: int,
-                       trace_id: Optional[str] = None) -> Dict:
+def _unavailable_error(model: Optional[str], attempts: int) -> Dict:
     """The ``cluster_unavailable`` receipt body."""
     which = f"model {model!r}" if model is not None else "the default model"
-    body = error_body(
+    return error_body(
         "cluster_unavailable",
         f"no live replica could serve {which} "
         f"({attempts} attempt(s) exhausted)",
         model=model, attempts=attempts)
-    if trace_id is not None:
-        body["error"].setdefault("trace_id", trace_id)
-    return body
 
 
-class _RouterHandler(JsonHttpHandler):
-    """One front-door request; all state lives on the router."""
-
-    @property
-    def router(self) -> "ClusterRouter":
-        return self.server.owner   # type: ignore[attr-defined]
-
-    def do_GET(self) -> None:   # noqa: N802 — stdlib naming
-        self._begin_request()
-        with self.router._track():
-            if self.path == "/healthz":
-                self._handle_healthz()
-            elif self.path == "/v1/cluster":
-                self._reply(200, self.router.cluster_snapshot())
-            elif self.path == "/v1/stats":
-                self._reply(200, self.router.stats_snapshot())
-            elif self.path == "/v1/models":
-                self._handle_models()
-            elif self.path == "/metrics":
-                self._reply_text(200, self.router.metrics_text())
-            elif self.path.startswith("/v1/trace/"):
-                self._handle_trace(self.path[len("/v1/trace/"):])
-            elif self.path in ("/v1/infer", "/v1/infer_batch"):
-                self._reply_error(405, "method_not_allowed",
-                                  f"{self.path} requires POST")
-            else:
-                self._reply_error(404, "not_found",
-                                  f"unknown path {self.path!r}")
-
-    def do_POST(self) -> None:   # noqa: N802 — stdlib naming
-        self._begin_request()
-        with self.router._track():
-            if self.path not in ("/v1/infer", "/v1/infer_batch"):
-                self.close_connection = True
-                if self.path in ("/healthz", "/v1/stats", "/v1/models",
-                                 "/v1/cluster", "/metrics") \
-                        or self.path.startswith("/v1/trace/"):
-                    self._reply_error(405, "method_not_allowed",
-                                      f"{self.path} requires GET")
-                else:
-                    self._reply_error(404, "not_found",
-                                      f"unknown path {self.path!r}")
-                return
-            body = self._read_body()
-            if body is None:
-                return
-            if self.router.draining:
-                self._reply_error(503, "shutting_down",
-                                  "the router is draining; request refused")
-                return
-            payload = self._parse_json(body)
-            if payload is None:
-                return
-            model = payload.get("model")
-            if model is not None and not isinstance(model, str):
-                self._reply_error(400, "invalid_request",
-                                  "'model' must be a string")
-                return
-            try:
-                if self.path == "/v1/infer":
-                    status, reply = self.router.route_infer(
-                        payload, model, trace_id=self._trace_id)
-                else:
-                    status, reply = self.router.route_infer_batch(
-                        payload, model, trace_id=self._trace_id)
-            except Exception as exc:   # noqa: BLE001 — the wire must answer
-                self._reply_error(500, "internal",
-                                  f"{type(exc).__name__}: {exc}")
-                return
-            self._reply(status, reply)
-
-    # -- GET endpoints ------------------------------------------------------
-    def _handle_trace(self, trace_id: str) -> None:
-        record = self.router.trace(trace_id)
-        if record is None:
-            self._reply_error(
-                404, "not_found",
-                f"no stored trace for id {trace_id!r} (never seen, "
-                f"evicted from the ring, or tracing is disabled)")
-        else:
-            self._reply(200, record)
-
-    def _handle_healthz(self) -> None:
-        router = self.router
-        counts = router.directory.snapshot()["counts"]
-        draining = router.draining
-        body = {
-            "status": ("draining" if draining
-                       else "ok" if counts["up"] == len(
-                           router.directory.names())
-                       else "degraded"),
-            "draining": draining,
-            "role": "router",
-            "replicas": counts,
-        }
-        self._reply(503 if draining else 200, body)
-
-    def _handle_models(self) -> None:
-        """Forward ``/v1/models`` to the first live replica and graft the
-        router's placement map on."""
-        router = self.router
-        outcome = router.proxy_get("/v1/models")
-        if outcome is None:
-            self._reply(503, _unavailable_error(None, 0, self._trace_id))
-            return
-        status, payload = outcome
-        if status == 200 and isinstance(payload, dict):
-            models = payload.get("models")
-            names = (list(models) if isinstance(models, (dict, list))
-                     else [])
-            payload["placement"] = {name: router.directory.placement(name)
-                                    for name in names}
-        self._reply(status, payload)
-
-
-class _RouterHttpd(ThreadingHTTPServer):
-    daemon_threads = True
-    block_on_close = False
-    owner: "ClusterRouter"
-
-
-class _Tracked:
-    """Context manager counting one in-flight request on the router."""
-
-    __slots__ = ("router",)
-
-    def __init__(self, router: "ClusterRouter"):
-        self.router = router
-
-    def __enter__(self) -> "_Tracked":
-        with self.router._inflight_lock:
-            self.router._inflight += 1
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        with self.router._inflight_lock:
-            self.router._inflight -= 1
-            self.router._inflight_lock.notify_all()
+def _model_of(payload: Dict) -> Optional[str]:
+    """The routing key of a POST envelope."""
+    model = payload.get("model")
+    if model is not None and not isinstance(model, str):
+        raise WireFormatError(400, "invalid_request",
+                              "'model' must be a string")
+    return model
 
 
 # ---------------------------------------------------------------------------
-class ClusterRouter:
+class ClusterRouter(ThreadedShell):
     """Wire-protocol front door over a :class:`ReplicaDirectory`.
 
     The router owns the directory's probe loop by default
     (``own_directory=True``): :meth:`start` starts probing,
-    :meth:`shutdown` stops it.  Use as a context manager, exactly like
-    :class:`~repro.serving.http.HttpFrontend`.
+    :meth:`shutdown` stops it (replicas are not touched — their
+    lifecycle belongs to whoever spawned them).  Use as a context
+    manager, exactly like :class:`~repro.serving.http.HttpFrontend`.
 
     ``client_factory`` is the ``(host, port, timeout) -> client`` hook
     the proxied attempts go through (tests inject scripted replicas).
     """
+
+    thread_name = "forms-cluster-router"
 
     def __init__(self, directory: ReplicaDirectory, *,
                  policy: Optional[RoutingPolicy] = None,
@@ -325,28 +201,18 @@ class ClusterRouter:
                  client_factory: Optional[Callable] = None,
                  log: Optional[Callable[[str], None]] = None,
                  obs: Optional[Observability] = None):
-        if max_body_bytes < 1:
-            raise ValueError("max_body_bytes must be >= 1")
-        if retry_after_s is not None and retry_after_s < 0:
-            raise ValueError("retry_after_s must be >= 0 (or None)")
+        self.extra_get = {"/v1/cluster": self.cluster_snapshot}
+        super().__init__(routes.build_table(self), host, port,
+                         max_body_bytes=max_body_bytes,
+                         retry_after_s=retry_after_s, log=log)
         self.directory = directory
         self.policy = policy if policy is not None else RoutingPolicy()
-        self.max_body_bytes = max_body_bytes
-        self.retry_after_s = retry_after_s
         self.own_directory = own_directory
-        self.log = log
         self.stats = RouterStats()
         self.obs = obs if obs is not None else Observability()
         self._wire_obs()
         self._client_factory = (client_factory if client_factory is not None
                                 else HttpClient)
-        self._draining = False
-        self._inflight = 0
-        self._inflight_lock = threading.Condition()
-        self._httpd = _RouterHttpd((host, port), _RouterHandler)
-        self._httpd.owner = self
-        self._thread: Optional[threading.Thread] = None
-        self._shut_down = False
 
     def _wire_obs(self) -> None:
         """Bridge the router's live counters to its ``/metrics`` page.
@@ -372,7 +238,16 @@ class ClusterRouter:
 
         self.obs.add_scrape_hook(refresh)
 
-    # -- observability ------------------------------------------------------
+    # -- lifecycle hooks of the shell -----------------------------------------
+    def _on_start(self) -> None:
+        if self.own_directory:
+            self.directory.start()
+
+    def _drain_backend(self, timeout: Optional[float]) -> None:
+        if self.own_directory:
+            self.directory.stop()
+
+    # -- GET side of the route-table backend ----------------------------------
     def metrics_text(self) -> str:
         """``GET /metrics``: the router's own Prometheus exposition (the
         replicas each serve their own — scrape all of them)."""
@@ -382,66 +257,26 @@ class ClusterRouter:
         """The stored routing trace for ``trace_id`` (``None`` on miss)."""
         return self.obs.traces.get(trace_id)
 
-    # -- address ------------------------------------------------------------
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
+    def healthz(self, draining: bool) -> Reply:
+        counts = self.directory.snapshot()["counts"]
+        return routes.healthz_reply(
+            draining, counts["up"] != len(self.directory.names()),
+            role="router", replicas=counts)
 
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def _track(self) -> _Tracked:
-        return _Tracked(self)
-
-    # -- lifecycle ----------------------------------------------------------
-    def start(self) -> "ClusterRouter":
-        if self._thread is not None:
-            raise RuntimeError("router already started")
-        if self.own_directory:
-            self.directory.start()
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        name="forms-cluster-router",
-                                        daemon=True)
-        self._thread.start()
-        return self
-
-    def shutdown(self, timeout: Optional[float] = None) -> None:
-        """Refuse new work, stop probing, stop accepting, wait out
-        in-flight handlers.  Idempotent.  Replicas are not touched —
-        their lifecycle belongs to whoever spawned them."""
-        if self._shut_down:
-            return
-        self._shut_down = True
-        self._draining = True
-        if self.own_directory:
-            self.directory.stop()
-        if self._thread is not None:
-            # stdlib shutdown() blocks on serve_forever's acknowledgment,
-            # so it must only run when the accept loop actually ran
-            self._httpd.shutdown()
-            self._thread.join(timeout)
-        with self._inflight_lock:
-            self._inflight_lock.wait_for(
-                lambda: self._inflight == 0,
-                timeout=timeout if timeout is not None else 5.0)
-        self._httpd.server_close()
-
-    def __enter__(self) -> "ClusterRouter":
-        if self._thread is None:
-            self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
+    def models(self) -> Reply:
+        """Forward ``/v1/models`` to the first live replica and graft the
+        router's placement map on."""
+        outcome = self.proxy_get("/v1/models")
+        if outcome is None:
+            return 503, _unavailable_error(None, 0)
+        status, payload = outcome
+        if status == 200 and isinstance(payload, dict):
+            models = payload.get("models")
+            names = (list(models) if isinstance(models, (dict, list))
+                     else [])
+            payload["placement"] = {name: self.directory.placement(name)
+                                    for name in names}
+        return status, payload
 
     # -- one proxied attempt ------------------------------------------------
     def _attempt(self, name: str, method: str, path: str,
@@ -567,8 +402,7 @@ class ClusterRouter:
             return None
         return self._proxy(plan, "GET", path, None, None)
 
-    def route_infer(self, payload: Dict, model: Optional[str], *,
-                    trace_id: Optional[str] = None) -> Tuple[int, Dict]:
+    def infer(self, request: Request, payload: Dict) -> Reply:
         """Route one ``POST /v1/infer`` envelope; returns
         ``(status, reply)`` ready for the wire.
 
@@ -580,58 +414,45 @@ class ClusterRouter:
         the snapshot — the stored trace is the *decision*, not the
         stragglers.
         """
+        model, trace_id = _model_of(payload), request.trace_id
         self.stats.record(requests=1)
-        tracing = self.obs.tracing and trace_id is not None
-        spans: Optional[List[Dict]] = [] if tracing else None
+        spans: Optional[List[Dict]] = [] if self.obs.tracing else None
         start = time.perf_counter()
         plan = self._plan(model)
-        if not plan:
-            self.stats.record(unavailable=1)
-            self._store_trace(trace_id, model, spans, start,
-                              outcome="unavailable")
-            return 503, _unavailable_error(model, 0, trace_id)
-        outcome = self._proxy(plan, "POST", "/v1/infer", payload, trace_id,
+        outcome = self._proxy(plan, "POST", INFER, payload, trace_id,
                               hedge_delay_s=self.policy.hedge_delay_s,
-                              spans=spans)
+                              spans=spans) if plan else None
         if outcome is None:
             self.stats.record(unavailable=1)
             self._store_trace(trace_id, model, spans, start,
                               outcome="unavailable")
-            return 503, _unavailable_error(model, len(plan), trace_id)
+            return 503, _unavailable_error(model, len(plan))
         self._store_trace(trace_id, model, spans, start, outcome="ok",
                           status=outcome[0])
         return outcome
 
-    def _store_trace(self, trace_id: Optional[str], model: Optional[str],
+    def _store_trace(self, trace_id: str, model: Optional[str],
                      spans: Optional[List[Dict]], start: float,
                      **attrs) -> None:
-        if spans is None or trace_id is None:
+        if spans is None:
             return
         route = span_dict("router.route", time.perf_counter() - start,
                           start_s=0.0, children=list(spans), **attrs)
         self.obs.traces.put({"trace_id": trace_id, "role": "router",
                              "model": model, "spans": [route]})
 
-    def route_infer_batch(self, payload: Dict, model: Optional[str], *,
-                          trace_id: Optional[str] = None) -> Tuple[int, Dict]:
+    def infer_batch(self, request: Request, payload: Dict) -> Reply:
         """Scatter one ``/v1/infer_batch`` envelope, gather per-item
         receipts in request order."""
+        model, trace_id = _model_of(payload), request.trace_id
         self.stats.record(requests=1)
-        has_json = "inputs" in payload
-        has_b64 = "inputs_b64" in payload
-        key = "inputs_b64" if has_b64 else "inputs"
-        raw = payload.get(key)
-        if has_json == has_b64 or not isinstance(raw, list) or not raw:
-            return 400, error_body(
-                "invalid_request",
-                "pass exactly one non-empty list: 'inputs' (nested JSON "
-                "arrays) or 'inputs_b64' (base64 .npy strings)")
+        key, raw = routes.batch_inputs(request, payload)
         self.stats.record(batch_items=len(raw))
         candidates = self.directory.candidates(model)
         if not candidates:
             self.stats.record(unavailable=1,
                               batch_items_unavailable=len(raw))
-            return 503, _unavailable_error(model, 0, trace_id)
+            return 503, _unavailable_error(model, 0)
 
         # scatter: item i starts at candidate i % k; a shard is the
         # group of items sharing a starting candidate, and each shard
@@ -652,8 +473,8 @@ class ClusterRouter:
             body = dict(passthrough)
             body[key] = [raw[i] for i in indices]
             outcomes.put((indices,
-                          self._proxy(plan, "POST", "/v1/infer_batch",
-                                      body, trace_id)))
+                          self._proxy(plan, "POST", INFER_BATCH, body,
+                                      trace_id)))
 
         for offset, indices in shards.items():
             threading.Thread(target=route_shard, args=(offset, indices),
@@ -666,9 +487,9 @@ class ClusterRouter:
                 self.stats.record(batch_items_unavailable=len(indices))
                 for i in indices:
                     entry = _unavailable_error(model,
-                                               self.policy.max_attempts,
-                                               trace_id)
+                                               self.policy.max_attempts)
                     entry["error"]["index"] = i
+                    wire.mark_error(entry, trace_id, None)
                     items[i] = entry
                 continue
             status, reply = outcome
@@ -692,14 +513,9 @@ class ClusterRouter:
                         and 0 <= shard_index < len(indices):
                     entry["index"] = indices[shard_index]
                     entry["at_fault"] = position == shard_index
-                if trace_id is not None:
-                    entry.setdefault("trace_id", trace_id)
+                entry.setdefault("trace_id", trace_id)
                 items[i] = {"error": entry}
-        completed = sum("error" not in item for item in items)
-        shed = len(items) - completed
-        status = 200 if shed == 0 else (503 if completed == 0 else 207)
-        return status, {"results": items, "completed": completed,
-                        "shed": shed}
+        return wire.batch_reply(items)
 
     # -- introspection ------------------------------------------------------
     def stats_snapshot(self) -> Dict:

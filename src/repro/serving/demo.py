@@ -316,7 +316,8 @@ def run_http_demo(requests: int = 16, rate_rps: float = 200.0,
     from ..perf.http import replay_http_open_loop
     from ..perf.serving import poisson_arrival_offsets
     from ..runtime import run_network_serial
-    from .http import HttpClient, HttpFrontend, WireResult
+    from .client import HttpClient, WireResult
+    from .http import HttpFrontend
 
     say = print_fn if print_fn is not None else (lambda line: None)
     server, traffic = build_demo_server(models, deadline_ms=deadline_ms,
@@ -570,8 +571,8 @@ def run_cluster_server(replicas: int = 2, *, host: str = "127.0.0.1",
     ``stop`` — the test hook; ``ready`` receives the live harness).
     Returns the final ``/v1/cluster`` snapshot.
     """
+    from .client import HttpClient
     from .cluster import ClusterHarness, RoutingPolicy
-    from .http import HttpClient
 
     say = print_fn if print_fn is not None else (lambda line: None)
     stop = stop if stop is not None else threading.Event()

@@ -1,62 +1,19 @@
-"""HTTP front end for the serving layer: the wire protocol over
-:class:`~repro.serving.server.InferenceServer`.
+"""The threaded shell of the wire protocol, and :class:`HttpFrontend`.
 
-Everything below PR 5 is in-process: the server, the SLA scheduler and
-the registry can only be driven by code importing :mod:`repro.serving`.
-This module makes the stack *externally drivable* — a std-lib
-(`http.server` ``ThreadingHTTPServer``) front end that speaks a small,
-documented JSON wire protocol (reference: ``docs/serving.md``), so the
-ROADMAP's end-to-end latency budget includes the socket, the parse and
-the queue, not just the dispatch loop.
+A std-lib ``ThreadingHTTPServer`` — one handler thread per connection —
+that only moves bytes: it reads a request line, headers and a bounded
+body off the socket, asks :mod:`repro.serving.routes` what the request
+means, settles any scheduler futures with ``.result()`` on the handler
+thread, and writes the reply :func:`repro.serving.wire.render` prepared.
+Endpoints, encodings and the error contract are the table's and the
+codecs' (``docs/serving.md``); nothing in this module knows a path.
 
-Endpoints
----------
-=========================  ====================================================
-``POST /v1/infer``         one image in, logits + per-request receipt out;
-                           ``model`` / ``priority`` / ``deadline_ms`` map onto
-                           the SLA path of :meth:`InferenceServer.submit_async`
-``POST /v1/infer_batch``   many images enqueued *before* any is waited on, so
-                           they may coalesce into shared batches
-``GET  /v1/models``        the registry snapshot (tenants, die-dedup stats)
-``GET  /v1/stats``         the operational snapshot (per-class / per-model
-                           percentiles, sheds, occupancy, queue depth)
-``GET  /healthz``          liveness: 200 while serving, 503 while draining
-``GET  /metrics``          Prometheus text exposition of the server's
-                           :class:`~repro.obs.MetricsRegistry`
-``GET  /v1/usage``         per-(model, class) usage accounting (requests,
-                           macs, die-seconds, sheds)
-``GET  /v1/trace/<id>``    the stored span tree of one request, keyed on
-                           its ``X-Request-Id`` (404 once evicted)
-=========================  ====================================================
-
-Observability endpoints are documented in ``docs/observability.md``.
-
-Payload encodings
------------------
-Images travel either as nested JSON arrays (``"input"`` — decoded as
-float64; Python's ``repr``-based JSON float serialization round-trips
-every finite float64 exactly, so JSON is *not* a lossy channel here) or
-as base64 of ``.npy`` bytes (``"input_b64"`` — any dtype, byte-exact).
-The response mirrors the request's encoding (``"output"`` vs
-``"output_b64"``).
-
-Error contract
---------------
-Every failure is a structured JSON body ``{"error": {"code": ...,
-"message": ...}}`` with a stable machine-readable ``code`` (the full
-table lives in ``docs/serving.md``).  A shed or admission-refused
-request returns 503 with ``code "shed"`` and the full
-:class:`~repro.serving.scheduler.ShedReceipt`; a request arriving while
-the front end drains returns 503 ``"shutting_down"``.  Request bodies
-are bounded (``max_body_bytes``, 413 past it, read no further).
-
-Every 503 carries a ``Retry-After`` header (fractional seconds) plus a
-``"retry_after_s"`` mirror inside the error object, which the client's
-retry loop honors over its computed backoff.  Every request adopts (or
-mints) an ``X-Request-Id``: echoed as a response header, injected into
-error bodies as ``"trace_id"`` and threaded through the scheduler into
-served/shed receipts — one id traces a request across the router, the
-replica and the receipt.
+Two front ends run on this shell: :class:`HttpFrontend` over one
+:class:`~repro.serving.server.InferenceServer`, and the
+:class:`~repro.serving.cluster.ClusterRouter` over a replica directory.
+It cannot stream — ``POST /v1/infer_batch?stream=1`` is a 400
+``invalid_request`` here (the asyncio shell, :mod:`repro.serving.aio`,
+serves it).
 
 Bit-identity over the wire
 --------------------------
@@ -65,621 +22,124 @@ output is bit-identical to the in-process ``submit`` result for the same
 image — at any worker count, read noise on or off, JSON or base64
 encoding (``tests/serving/test_http.py``).  The front end never touches
 the image values; it only moves bytes and dict keys.
-
-Shutdown
---------
-:meth:`HttpFrontend.shutdown` drains: new requests are refused with 503
-``"shutting_down"``, the owned inference server drains its queue (so
-in-flight HTTP handlers waiting on futures complete — or fail with an
-explicit shed/shutdown error, never a wedged socket), the accept loop
-stops, and remaining handler threads are waited out.
 """
 
 from __future__ import annotations
 
-import base64
-import io
-import json
-import re
 import threading
-import time
-from http.client import HTTPConnection, HTTPException
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Optional
 
-import numpy as np
-
-from ..obs import PROMETHEUS_CONTENT_TYPE
-from ..obs.trace import new_trace_id
-from ..reram.faults import DieFaultDetected
-from .queue import QueueClosed
-from .scheduler import RequestShed
-
-#: default request-body bound (bytes) — far above any demo image, far
-#: below anything that could exhaust the container
-DEFAULT_MAX_BODY_BYTES = 8 << 20
-
-#: default ``Retry-After`` hint (seconds) attached to 503 responses —
-#: small, because a shed or a drain is a *moment*, not an outage; the
-#: header carries fractional decimal seconds (a documented deviation
-#: from RFC 9110's integer seconds: every consumer here is our own
-#: client or the router, and sub-second backoff is the useful range)
-DEFAULT_RETRY_AFTER_S = 0.25
-
-#: accepted shape of a client-supplied ``X-Request-Id``: printable
-#: ASCII, bounded — anything else is replaced by a generated id rather
-#: than rejected (tracing must never fail a request)
-_TRACE_ID_RE = re.compile(r"^[\x21-\x7e]{1,128}$")
+from . import routes, wire
+from .routes import Pending, Request, Shell
+# benchmarks/e2e/report.py (frozen by BENCHMARK.json) imports these four
+# codecs from this module; their home is repro.serving.wire
+from .wire import (DEFAULT_MAX_BODY_BYTES, DEFAULT_RETRY_AFTER_S,  # noqa: F401
+                   decode_array_b64, decode_input, encode_array, result_body)
 
 
-#: what a failed round trip through :meth:`HttpClient.request` can raise
-#: when the far end dies mid-exchange: connection errors (``OSError``,
-#: including ``RemoteDisconnected``), protocol tears (``HTTPException``
-#: — truncated status line after a SIGKILL) and partial-body JSON decode
-#: failures (``ValueError``).  The cluster's failover classification
-#: treats every one of these as "this replica, right now" — retryable.
-TRANSPORT_ERRORS = (OSError, HTTPException, ValueError)
-
-#: structured error codes of the wire protocol (documented in
-#: docs/serving.md — keep the two in lockstep; tests assert membership)
-ERROR_CODES = (
-    "malformed_json",     # 400: body is not valid UTF-8 JSON / not an object
-    "invalid_request",    # 400: JSON is fine but the envelope is not
-    "invalid_input",      # 400: image undecodable or wrong shape
-    "unknown_model",      # 404: "model" names no registered tenant
-    "unknown_priority",   # 400: "priority" names no class of the policy
-    "length_required",    # 411: POST without Content-Length
-    "body_too_large",     # 413: Content-Length past max_body_bytes
-    "not_found",          # 404: unknown path
-    "method_not_allowed",  # 405: wrong verb for a known path
-    "shed",               # 503: shed/admission-refused (carries a receipt)
-    "shutting_down",      # 503: the front end is draining
-    "die_fault",          # 503: a die fault escaped the recovery path
-    #                       (checksum tripped and no healthy reference was
-    #                       available to restore from — the request failed
-    #                       loudly instead of being answered wrong)
-    "cluster_unavailable",  # 503: every replica that could serve the model
-    #                       is down (emitted by the ClusterRouter, never by
-    #                       a single front end — an explicit receipt, not a
-    #                       hang or a silent 500)
-    "internal",           # 500: dispatch failure (batcher error)
-)
-
-
-class WireFormatError(ValueError):
-    """A request that cannot be mapped onto a submission.
-
-    Carries the HTTP ``status`` and the structured error ``code`` the
-    handler should answer with.
-    """
-
-    def __init__(self, status: int, code: str, message: str):
-        super().__init__(message)
-        self.status = status
-        self.code = code
-
-
-# ---------------------------------------------------------------------------
-# payload encode/decode — shared by the server handler and HttpClient, so
-# the two ends of the wire cannot drift apart
-def encode_array(array: np.ndarray) -> str:
-    """Base64 of the array's ``.npy`` serialization (byte-exact)."""
-    buffer = io.BytesIO()
-    np.save(buffer, np.ascontiguousarray(array), allow_pickle=False)
-    return base64.b64encode(buffer.getvalue()).decode("ascii")
-
-
-def decode_array_b64(data: str) -> np.ndarray:
+def _settle(future):
+    """A future's outcome as a value: its result, or what it raised."""
     try:
-        raw = base64.b64decode(data, validate=True)
-        return np.load(io.BytesIO(raw), allow_pickle=False)
-    except Exception as exc:
-        raise WireFormatError(400, "invalid_input",
-                              f"undecodable base64 .npy payload: {exc}")
+        return future.result()
+    except Exception as exc:   # noqa: BLE001 — routes.finish maps it
+        return exc
 
 
-def decode_array_json(obj) -> np.ndarray:
-    """Nested JSON lists -> float64 (the wire's canonical numeric dtype)."""
-    try:
-        array = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise WireFormatError(400, "invalid_input",
-                              f"input is not a numeric array: {exc}")
-    if array.dtype != np.float64:   # pragma: no cover — asarray guarantees
-        raise WireFormatError(400, "invalid_input", "input must be numeric")
-    return array
-
-
-def decode_input(payload: Dict, *, key: str = "input") -> Tuple[np.ndarray, bool]:
-    """Extract one image from a request envelope.
-
-    Returns ``(array, binary)`` where ``binary`` records which encoding
-    the caller used (the response mirrors it).
-    """
-    key_b64 = f"{key}_b64"
-    has_json, has_b64 = key in payload, key_b64 in payload
-    if has_json == has_b64:
-        raise WireFormatError(
-            400, "invalid_request",
-            f"pass exactly one of {key!r} (nested JSON array) or "
-            f"{key_b64!r} (base64 .npy)")
-    if has_b64:
-        if not isinstance(payload[key_b64], str):
-            raise WireFormatError(400, "invalid_request",
-                                  f"{key_b64!r} must be a base64 string")
-        return decode_array_b64(payload[key_b64]), True
-    return decode_array_json(payload[key]), False
-
-
-def result_body(result, binary: bool) -> Dict:
-    """A :class:`~repro.serving.stats.ServedResult` as a response dict."""
-    body: Dict = {"stats": result.stats.as_dict()}
-    if binary:
-        body["output_b64"] = encode_array(result.output)
-    else:
-        body["output"] = result.output.tolist()
-    return body
-
-
-def error_body(code: str, message: str, **extra) -> Dict:
-    assert code in ERROR_CODES, f"undocumented error code {code!r}"
-    error = {"code": code, "message": message}
-    error.update(extra)
-    return {"error": error}
-
-
-def shed_body(exc: RequestShed) -> Dict:
-    return error_body("shed", str(exc), reason=exc.receipt.reason,
-                      receipt=exc.receipt.as_dict())
-
-
-def iter_sse_events(fp):
-    """Parse server-sent events off a file-like of bytes lines.
-
-    Yields ``(event, data)`` with ``data`` JSON-decoded — the async
-    front end's streaming path emits exactly one JSON object per event
-    (types in :data:`repro.serving.aio.STREAM_EVENTS`).  Shared by
-    :meth:`HttpClient.infer_batch_stream` and the async load generator
-    so every consumer reads the frames one way.
-    """
-    event, data_lines = None, []
-    for raw in fp:
-        line = raw.decode("utf-8").rstrip("\n").rstrip("\r")
-        if not line:
-            if event is not None:
-                yield event, json.loads("\n".join(data_lines))
-            event, data_lines = None, []
-            continue
-        field, _, value = line.partition(":")
-        if value.startswith(" "):
-            value = value[1:]
-        if field == "event":
-            event = value
-        elif field == "data":
-            data_lines.append(value)
-
-
-def _submit_kwargs(server, payload: Dict) -> Dict:
-    """Validate and map the request envelope onto ``submit_async`` kwargs.
-
-    Pre-resolves the model and the priority class so the two distinct
-    failure modes get distinct error codes (``unknown_model`` 404 vs
-    ``unknown_priority`` 400) instead of one opaque 400.
-    """
-    model = payload.get("model")
-    if model is not None and not isinstance(model, str):
-        raise WireFormatError(400, "invalid_request", "'model' must be a string")
-    priority = payload.get("priority")
-    if priority is not None and not isinstance(priority, str):
-        raise WireFormatError(400, "invalid_request",
-                              "'priority' must be a string")
-    deadline_ms = payload.get("deadline_ms")
-    if deadline_ms is not None:
-        if not isinstance(deadline_ms, (int, float)) \
-                or isinstance(deadline_ms, bool) or deadline_ms <= 0:
-            raise WireFormatError(400, "invalid_request",
-                                  "'deadline_ms' must be a number > 0")
-    try:
-        server.registry.get(model)
-    except KeyError as exc:
-        raise WireFormatError(404, "unknown_model", str(exc.args[0]))
-    except ValueError as exc:
-        # a multi-tenant registry needs an explicit name
-        raise WireFormatError(400, "invalid_request", str(exc))
-    try:
-        server.policy.rank_of(priority)
-    except KeyError as exc:
-        raise WireFormatError(400, "unknown_priority", str(exc.args[0]))
-    return {
-        "model": model,
-        "priority": priority,
-        "deadline_s": deadline_ms / 1e3 if deadline_ms is not None else None,
-    }
-
-
-# ---------------------------------------------------------------------------
-class JsonHttpHandler(BaseHTTPRequestHandler):
-    """Shared JSON-over-HTTP plumbing of the wire protocol.
-
-    Subclassed by the front end's :class:`_Handler` and the cluster
-    router's handler (``repro.serving.cluster.router``), so the two
-    processes speak byte-compatible protocol mechanics: bounded body
-    reads, structured error replies, ``Retry-After`` on 503s and
-    ``X-Request-Id`` echo.  The serving object (front end or router)
-    lives on ``self.server.owner`` and must expose ``max_body_bytes``,
-    ``retry_after_s`` and ``log``.
-    """
+class _Handler(BaseHTTPRequestHandler):
+    """One request: socket in, :mod:`~repro.serving.routes`, socket out."""
 
     protocol_version = "HTTP/1.1"
     server_version = "forms-serving/1"
 
-    #: set per request by :meth:`_begin_request`
-    _trace_id: Optional[str] = None
-
-    @property
-    def owner(self):
-        return self.server.owner   # type: ignore[attr-defined]
+    def __getattr__(self, name: str):
+        # the std-lib dispatches on ``do_<VERB>`` and answers an HTML 501
+        # when the attribute is missing; every verb goes through the
+        # table instead, which answers unknown ones with a JSON 405
+        if name.startswith("do_"):
+            return self._serve
+        raise AttributeError(name)
 
     def log_message(self, format, *args):   # noqa: A002 — stdlib signature
-        log = self.owner.log
+        log = self.server.shell.log
         if log is not None:
             log(f"{self.address_string()} {format % args}")
 
-    # -- plumbing ----------------------------------------------------------
-    def _begin_request(self) -> None:
-        """Adopt the caller's ``X-Request-Id`` (or mint one).
-
-        An unusable supplied id (non-printable, overlong) is replaced,
-        never refused: tracing is diagnostics, not validation.  The id is
-        echoed as a response header on every reply and injected into
-        error bodies as ``"trace_id"``.
-        """
-        supplied = self.headers.get("X-Request-Id")
-        if supplied is not None and _TRACE_ID_RE.match(supplied):
-            self._trace_id = supplied
-        else:
-            self._trace_id = new_trace_id()
-
-    def _reply(self, status: int, body: Dict) -> None:
-        retry_after = (self.owner.retry_after_s if status == 503 else None)
-        error = body.get("error")
-        if isinstance(error, dict):
-            if retry_after is not None:
-                # JSON mirror of the Retry-After header, so std-lib
-                # clients (which decode bodies, not headers) can honor it
-                error.setdefault("retry_after_s", retry_after)
-            if self._trace_id is not None:
-                error.setdefault("trace_id", self._trace_id)
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        if self._trace_id is not None:
-            self.send_header("X-Request-Id", self._trace_id)
-        if retry_after is not None:
-            self.send_header("Retry-After", f"{retry_after:g}")
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _reply_text(self, status: int, text: str,
-                    content_type: str = PROMETHEUS_CONTENT_TYPE) -> None:
-        """A non-JSON reply — the ``/metrics`` exposition path."""
-        data = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        if self._trace_id is not None:
-            self.send_header("X-Request-Id", self._trace_id)
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _reply_error(self, status: int, code: str, message: str,
-                     **extra) -> None:
-        self._reply(status, error_body(code, message, **extra))
-
-    def _read_body(self) -> Optional[bytes]:
-        """Bounded body read; replies (and returns None) on protocol errors."""
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            self.close_connection = True
-            self._reply_error(411, "length_required",
-                              "POST requires a Content-Length header")
-            return None
-        try:
-            length = int(length_header)
-            if length < 0:
-                raise ValueError
-        except ValueError:
-            self.close_connection = True
-            self._reply_error(400, "invalid_request",
-                              "Content-Length is not a non-negative integer")
-            return None
-        if length > self.owner.max_body_bytes:
-            # refuse without reading: the connection cannot be reused
-            self.close_connection = True
-            self._reply_error(
-                413, "body_too_large",
-                f"request body of {length} bytes exceeds the "
-                f"{self.owner.max_body_bytes}-byte bound",
-                max_body_bytes=self.owner.max_body_bytes)
-            return None
-        body = self.rfile.read(length)
-        if len(body) != length:
-            self.close_connection = True
-            self._reply_error(400, "invalid_request", "truncated request body")
-            return None
-        return body
-
-    def _parse_json(self, body: bytes) -> Optional[Dict]:
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._reply_error(400, "malformed_json",
-                              f"request body is not valid JSON: {exc}")
-            return None
-        if not isinstance(payload, dict):
-            self._reply_error(400, "malformed_json",
-                              "request body must be a JSON object")
-            return None
-        return payload
-
-
-class _Handler(JsonHttpHandler):
-    """One request of the wire protocol; state lives on the frontend."""
-
-    # the ThreadingHTTPServer subclass below carries .frontend
-    @property
-    def frontend(self) -> "HttpFrontend":
-        return self.server.frontend   # type: ignore[attr-defined]
-
-    # -- verbs -------------------------------------------------------------
-    def do_GET(self) -> None:   # noqa: N802 — stdlib naming
-        self._begin_request()
-        with self.frontend._track():
-            if self.path == "/healthz":
-                self._handle_healthz()
-            elif self.path == "/v1/stats":
-                self._reply(200, self.frontend.server.server_stats())
-            elif self.path == "/v1/models":
-                self._reply(200, self.frontend.server.registry_stats())
-            elif self.path == "/metrics":
-                self._reply_text(200, self.frontend.server.metrics_text())
-            elif self.path == "/v1/usage":
-                self._reply(200, self.frontend.server.usage_snapshot())
-            elif self.path.startswith("/v1/trace/"):
-                self._handle_trace(self.path[len("/v1/trace/"):])
-            elif self.path in ("/v1/infer", "/v1/infer_batch"):
-                self._reply_error(405, "method_not_allowed",
-                                  f"{self.path} requires POST")
+    def _serve(self) -> None:
+        shell: ThreadedShell = self.server.shell
+        with shell._track():
+            request = Request(self.command, self.path,
+                              self.headers.get("X-Request-Id"))
+            try:
+                handler, length = routes.admit(
+                    shell.table, request,
+                    self.headers.get("Content-Length"), shell.max_body_bytes)
+                body = None if length is None else \
+                    wire.whole_body(self.rfile.read(length), length)
+            except wire.WireFormatError as exc:
+                reply = routes.refuse(request, exc)
             else:
-                self._reply_error(404, "not_found",
-                                  f"unknown path {self.path!r}")
-
-    def do_POST(self) -> None:   # noqa: N802 — stdlib naming
-        self._begin_request()
-        with self.frontend._track():
-            if self.path not in ("/v1/infer", "/v1/infer_batch"):
-                if self.path in ("/healthz", "/v1/stats", "/v1/models",
-                                 "/metrics", "/v1/usage") \
-                        or self.path.startswith("/v1/trace/"):
-                    self.close_connection = True
-                    self._reply_error(405, "method_not_allowed",
-                                      f"{self.path} requires GET")
-                else:
-                    self.close_connection = True
-                    self._reply_error(404, "not_found",
-                                      f"unknown path {self.path!r}")
-                return
-            body = self._read_body()
-            if body is None:
-                return
-            if self.frontend.draining:
-                self._reply_error(503, "shutting_down",
-                                  "the server is draining; request refused")
-                return
-            payload = self._parse_json(body)
-            if payload is None:
-                return
-            try:
-                if self.path == "/v1/infer":
-                    self._handle_infer(payload)
-                else:
-                    self._handle_infer_batch(payload)
-            except WireFormatError as exc:
-                self._reply_error(exc.status, exc.code, str(exc))
-            except RequestShed as exc:
-                self._reply(503, shed_body(exc))
-            except QueueClosed as exc:
-                self._reply_error(503, "shutting_down", str(exc))
-            except DieFaultDetected as exc:
-                # before the RuntimeError arm: DieFaultDetected IS a
-                # RuntimeError, and this one deserves its own code —
-                # detection fired but the recovery path could not serve
-                # the request (e.g. an unguarded engine tripped)
-                self._reply_error(503, "die_fault", str(exc))
-            except RuntimeError as exc:
-                if "shut down" in str(exc):
-                    self._reply_error(503, "shutting_down", str(exc))
-                else:
-                    self._reply_error(500, "internal", str(exc))
-            except Exception as exc:   # noqa: BLE001 — the wire must answer
-                self._reply_error(500, "internal",
-                                  f"{type(exc).__name__}: {exc}")
-
-    # -- endpoints ---------------------------------------------------------
-    def _handle_trace(self, trace_id: str) -> None:
-        record = self.frontend.server.trace(trace_id)
-        if record is None:
-            self._reply_error(
-                404, "not_found",
-                f"no stored trace for id {trace_id!r} (never seen, "
-                f"evicted from the ring, or tracing is disabled)")
-        else:
-            self._reply(200, record)
-
-    def _handle_healthz(self) -> None:
-        frontend = self.frontend
-        draining = frontend.draining
-        body = {
-            "status": "draining" if draining else "ok",
-            "draining": draining,
-            "models": frontend.server.registry.names(),
-        }
-        # die-pool health summary — additive: existing clients keyed on
-        # status/draining/models are untouched, and a degraded pool (some
-        # die quarantined or re-programming) stays HTTP 200: the server is
-        # alive and serving, just worth an operator's look
-        health = getattr(frontend.server, "die_health", None)
-        if health is not None:
-            body["dies"] = health.counts()
-            if not draining and health.degraded:
-                body["status"] = "degraded"
-        self._reply(503 if draining else 200, body)
-
-    def _handle_infer(self, payload: Dict) -> None:
-        server = self.frontend.server
-        image, binary = decode_input(payload)
-        kwargs = _submit_kwargs(server, payload)
-        kwargs["trace_id"] = self._trace_id
-        try:
-            future = server.submit_async(image, **kwargs)
-        except ValueError as exc:
-            # image-shape pin mismatch / degenerate image — the one
-            # validation submit_async owns that _submit_kwargs cannot
-            raise WireFormatError(400, "invalid_input", str(exc))
-        result = future.result()
-        self._reply(200, result_body(result, binary))
-
-    def _handle_infer_batch(self, payload: Dict) -> None:
-        server = self.frontend.server
-        has_json, has_b64 = "inputs" in payload, "inputs_b64" in payload
-        raw = payload.get("inputs_b64" if has_b64 else "inputs")
-        if has_json == has_b64 or not isinstance(raw, list) or not raw:
-            raise WireFormatError(
-                400, "invalid_request",
-                "pass exactly one non-empty list: 'inputs' (nested JSON "
-                "arrays) or 'inputs_b64' (base64 .npy strings)")
-        binary = has_b64
-        images = [decode_array_b64(item) if binary else decode_array_json(item)
-                  for item in raw]
-        kwargs = _submit_kwargs(server, payload)
-        kwargs["trace_id"] = self._trace_id
-        futures, submit_error = [], None
-        for index, image in enumerate(images):
-            try:
-                futures.append(server.submit_async(image, **kwargs))
-            except (ValueError, RuntimeError) as exc:
-                submit_error = (index, exc)
-                break
-        # never strand what was already enqueued — drain it even when a
-        # later item failed to submit
-        items: List[Dict] = []
-        served = shed = 0
-        for future in futures:
-            try:
-                result = future.result()
-                items.append(result_body(result, binary))
-                served += 1
-            except RequestShed as exc:
-                items.append(shed_body(exc))
-                shed += 1
-        if submit_error is not None:
-            index, exc = submit_error
-            if isinstance(exc, RuntimeError) and "shut down" in str(exc):
-                code, status = "shutting_down", 503
-            else:
-                code, status = "invalid_input", 400
-            self._reply_error(status, code,
-                              f"inputs[{index}]: {exc}", index=index)
-            return
-        status = 200 if shed == 0 else (503 if served == 0 else 207)
-        self._reply(status, {"results": items, "completed": served,
-                             "shed": shed})
+                reply = routes.run(handler, request, body, shell.draining)
+                if isinstance(reply, Pending):
+                    reply = routes.finish(
+                        reply, [_settle(f) for f in reply.futures])
+            data, headers = wire.render(*reply, request.trace_id,
+                                        shell.retry_after_s)
+            self.send_response(reply[0])
+            for name, value in headers:
+                self.send_header(name, value)
+            if request.close:
+                self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(data)
 
 
 class _Httpd(ThreadingHTTPServer):
     daemon_threads = True
-    # handler threads are tracked by HttpFrontend._track, not joined here
+    # handler threads are tracked by ThreadedShell._track, not joined here
     block_on_close = False
-    frontend: "HttpFrontend"
-
-    @property
-    def owner(self) -> "HttpFrontend":
-        # the JsonHttpHandler plumbing hook (shared with the router)
-        return self.frontend
+    shell: "ThreadedShell"
 
 
 class _Tracked:
-    """Context manager counting one in-flight request on a frontend."""
+    """Context manager counting one in-flight request on a shell."""
 
-    __slots__ = ("frontend",)
+    __slots__ = ("shell",)
 
-    def __init__(self, frontend: "HttpFrontend"):
-        self.frontend = frontend
+    def __init__(self, shell: "ThreadedShell"):
+        self.shell = shell
 
     def __enter__(self) -> "_Tracked":
-        with self.frontend._inflight_lock:
-            self.frontend._inflight += 1
+        with self.shell._inflight_lock:
+            self.shell._inflight += 1
         return self
 
     def __exit__(self, *exc_info) -> None:
-        with self.frontend._inflight_lock:
-            self.frontend._inflight -= 1
-            self.frontend._inflight_lock.notify_all()
+        with self.shell._inflight_lock:
+            self.shell._inflight -= 1
+            self.shell._inflight_lock.notify_all()
 
 
 # ---------------------------------------------------------------------------
-class HttpFrontend:
-    """The threaded HTTP front end over one :class:`InferenceServer`.
+class ThreadedShell(Shell):
+    """The accept loop, the handler threads and the drain.
 
-    Parameters
-    ----------
-    server:
-        The inference server to expose.  ``owns_server=True`` hands its
-        lifecycle to the front end: :meth:`shutdown` drains it (the CLI
-        path).  The default borrows it — the owner keeps submitting
-        in-process alongside the wire (the test/benchmark path).
-    host / port:
-        Bind address; ``port=0`` picks an ephemeral port, readable back
-        from :attr:`port` / :attr:`url`.
-    max_body_bytes:
-        Request-body bound; a longer ``Content-Length`` is refused with
-        413 before the body is read.
-    retry_after_s:
-        ``Retry-After`` hint attached (as a header and as the
-        ``"retry_after_s"`` body mirror) to every 503 response —
-        shed, ``shutting_down``, ``die_fault`` and the draining
-        ``/healthz`` body.  ``None`` disables the hint.
-    log:
-        Optional callable receiving one access-log line per request
-        (default: silent — the demos pass ``print``).
-
-    Use as a context manager (``with HttpFrontend(server) as fe: ...``)
-    or call :meth:`start` / :meth:`shutdown` explicitly.
+    ``host`` / ``port`` are the bind address; ``port=0`` picks an
+    ephemeral port, readable back from :attr:`port` / :attr:`url`.
+    Subclasses say what sits behind the table and override
+    :meth:`_on_start` / :meth:`_drain_backend`.
     """
 
-    def __init__(self, server, host: str = "127.0.0.1", port: int = 0, *,
-                 max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-                 retry_after_s: Optional[float] = DEFAULT_RETRY_AFTER_S,
-                 owns_server: bool = False, log=None):
-        if max_body_bytes < 1:
-            raise ValueError("max_body_bytes must be >= 1")
-        if retry_after_s is not None and retry_after_s < 0:
-            raise ValueError("retry_after_s must be >= 0 (or None)")
-        self.server = server
-        self.max_body_bytes = max_body_bytes
-        self.retry_after_s = retry_after_s
-        self.owns_server = owns_server
-        self.log = log
-        self._draining = False
+    thread_name = "forms-http"
+
+    def __init__(self, table, host: str, port: int, *, max_body_bytes: int,
+                 retry_after_s: Optional[float], log):
+        super().__init__(table, max_body_bytes, retry_after_s, log)
         self._inflight = 0
         self._inflight_lock = threading.Condition()
         self._httpd = _Httpd((host, port), _Handler)
-        self._httpd.frontend = self
-        self._thread: Optional[threading.Thread] = None
-        self._shut_down = False
+        self._httpd.shell = self
 
-    # -- address -----------------------------------------------------------
     @property
     def host(self) -> str:
         return self._httpd.server_address[0]
@@ -688,29 +148,22 @@ class HttpFrontend:
     def port(self) -> int:
         return self._httpd.server_address[1]
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    # -- in-flight accounting (the drain barrier) ---------------------------
     def _track(self) -> _Tracked:
+        """Count one in-flight request (the drain barrier)."""
         return _Tracked(self)
 
-    def _wait_inflight(self, timeout: Optional[float]) -> bool:
-        with self._inflight_lock:
-            return self._inflight_lock.wait_for(
-                lambda: self._inflight == 0, timeout=timeout)
+    def _on_start(self) -> None:
+        """Hook: runs before the accept loop starts."""
 
-    # -- lifecycle ----------------------------------------------------------
-    def start(self) -> "HttpFrontend":
+    def _drain_backend(self, timeout: Optional[float]) -> None:
+        """Hook: step (2) of :meth:`shutdown`."""
+
+    def start(self):
         if self._thread is not None:
             raise RuntimeError("frontend already started")
+        self._on_start()
         self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        name="forms-http", daemon=True)
+                                        name=self.thread_name, daemon=True)
         self._thread.start()
         return self
 
@@ -718,417 +171,52 @@ class HttpFrontend:
         """Drain and stop.  Idempotent.
 
         Order matters: (1) flip :attr:`draining` so new ``POST``s are
-        refused with 503 ``"shutting_down"``; (2) drain the owned
-        inference server, which serves (or sheds, with receipts) every
-        already-accepted request — in-flight HTTP handlers blocked on
-        futures therefore complete with real responses, never a wedged
-        socket; (3) stop the accept loop and wait out remaining handler
-        threads.  A borrowed server is left running.
+        refused with 503 ``"shutting_down"``; (2) drain the backend
+        (:meth:`_drain_backend` — an owned inference server serves, or
+        sheds with receipts, every already-accepted request, so
+        in-flight handlers blocked on futures complete with real
+        responses, never a wedged socket); (3) stop the accept loop and
+        wait out remaining handler threads.
         """
         if self._shut_down:
             return
         self._shut_down = True
         self._draining = True
-        if self.owns_server:
-            self.server.shutdown(timeout)
-        self._httpd.shutdown()
+        self._drain_backend(timeout)
         if self._thread is not None:
+            # stdlib shutdown() blocks on serve_forever's acknowledgment,
+            # so it must only run when the accept loop actually ran
+            self._httpd.shutdown()
             self._thread.join(timeout)
-        self._wait_inflight(timeout if timeout is not None else 5.0)
+        with self._inflight_lock:
+            self._inflight_lock.wait_for(
+                lambda: self._inflight == 0,
+                timeout=timeout if timeout is not None else 5.0)
         self._httpd.server_close()
 
-    def __enter__(self) -> "HttpFrontend":
-        if self._thread is None:
-            self.start()
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
+class HttpFrontend(ThreadedShell):
+    """The threaded HTTP front end over one :class:`InferenceServer`.
 
-
-# ---------------------------------------------------------------------------
-class HttpError(RuntimeError):
-    """An error response of the wire protocol, decoded.
-
-    ``status`` is the HTTP status, ``code`` the structured error code
-    (one of :data:`ERROR_CODES`), ``payload`` the full ``"error"``
-    object — for ``code == "shed"`` it carries the ``receipt``.
+    ``owns_server=True`` hands the server's lifecycle to the front end:
+    :meth:`shutdown` drains it (the CLI path).  The default borrows it —
+    the owner keeps submitting in-process alongside the wire (the
+    test/benchmark path) and a borrowed server is left running.  The
+    remaining parameters are :class:`ThreadedShell`'s and
+    :class:`~repro.serving.routes.Shell`'s.
     """
 
-    def __init__(self, status: int, payload: Dict):
-        error = payload.get("error", {}) if isinstance(payload, dict) else {}
-        code = error.get("code", "internal")
-        super().__init__(f"HTTP {status} [{code}]: "
-                         f"{error.get('message', payload)}")
-        self.status = status
-        self.code = code
-        self.payload = error
+    def __init__(self, server, host: str = "127.0.0.1", port: int = 0, *,
+                 max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
+                 retry_after_s: Optional[float] = DEFAULT_RETRY_AFTER_S,
+                 owns_server: bool = False, log=None):
+        super().__init__(
+            routes.build_table(routes.ReplicaBackend(server)), host, port,
+            max_body_bytes=max_body_bytes, retry_after_s=retry_after_s,
+            log=log)
+        self.server = server
+        self.owns_server = owns_server
 
-    @property
-    def receipt(self) -> Optional[Dict]:
-        return self.payload.get("receipt")
-
-
-class WireResult:
-    """A served response, decoded: the wire twin of
-    :class:`~repro.serving.stats.ServedResult` (``stats`` is the receipt
-    dict rather than a :class:`RequestStats`)."""
-
-    __slots__ = ("output", "stats")
-
-    def __init__(self, output: np.ndarray, stats: Dict):
-        self.output = output
-        self.stats = stats
-
-    @classmethod
-    def from_body(cls, body: Dict) -> "WireResult":
-        if "output_b64" in body:
-            output = decode_array_b64(body["output_b64"])
-        else:
-            output = np.asarray(body["output"], dtype=np.float64)
-        return cls(output, body.get("stats", {}))
-
-
-class HttpClient:
-    """Minimal std-lib client for the wire protocol.
-
-    One short-lived connection per call — safe to share one client
-    across threads (the load generator and the smoke tests do).  Every
-    non-2xx response raises :class:`HttpError` carrying the structured
-    code, except the per-item errors inside an ``infer_batch`` response,
-    which are returned in place.
-
-    Retry policy
-    ------------
-    With ``retries > 0`` the *idempotent GETs* (``/healthz``,
-    ``/v1/stats``, ``/v1/models``, ``/metrics``, ``/v1/usage``,
-    ``/v1/trace/<id>``) are retried on connection errors — and, for all
-    but ``/healthz``, on HTTP 503 — with capped
-    exponential backoff and deterministic seeded jitter
-    (``backoff_seed``; two clients built with the same seed sleep the
-    same schedule, keeping chaos runs replayable).  ``/healthz`` never
-    retries a 503: a draining server answers 503 *with a valid body*,
-    which callers must see immediately.  POSTs are never retried — the
-    server may have executed a request whose response was lost, and
-    re-submitting inference is the caller's policy decision, not the
-    transport's.  The default ``retries=0`` keeps the historical
-    fail-fast behaviour.
-    """
-
-    def __init__(self, host: str, port: int, timeout: float = 60.0, *,
-                 retries: int = 0, backoff_s: float = 0.05,
-                 backoff_cap_s: float = 1.0,
-                 backoff_seed: Optional[int] = None):
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if backoff_s < 0 or backoff_cap_s < 0:
-            raise ValueError("backoff_s / backoff_cap_s must be >= 0")
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
-        self._backoff_rng = np.random.default_rng(backoff_seed)
-        self._backoff_lock = threading.Lock()
-
-    @classmethod
-    def for_frontend(cls, frontend: HttpFrontend,
-                     timeout: float = 60.0, **kwargs) -> "HttpClient":
-        return cls(frontend.host, frontend.port, timeout, **kwargs)
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (0-based): exponential from
-        ``backoff_s``, capped at ``backoff_cap_s``, jittered into
-        [0.5, 1.5) of the base by the seeded stream."""
-        base = min(self.backoff_cap_s, self.backoff_s * (2 ** attempt))
-        with self._backoff_lock:
-            jitter = 0.5 + self._backoff_rng.random()
-        return base * jitter
-
-    # -- plumbing -----------------------------------------------------------
-    def request(self, method: str, path: str, body: Optional[Dict] = None,
-                extra_headers: Optional[Dict] = None) -> Tuple[int, Dict]:
-        """One round trip; returns ``(status, decoded JSON)`` untouched."""
-        connection = HTTPConnection(self.host, self.port,
-                                    timeout=self.timeout)
-        try:
-            data = (json.dumps(body).encode("utf-8")
-                    if body is not None else None)
-            headers = {"Content-Type": "application/json",
-                       "Connection": "close"}
-            if extra_headers:
-                headers.update(extra_headers)
-            try:
-                connection.request(method, path, body=data, headers=headers)
-            except (BrokenPipeError, ConnectionResetError):
-                # the server refused mid-send (e.g. 413 on an oversized
-                # body, answered without reading it) and closed its end;
-                # the error response is usually already in our receive
-                # buffer — read it instead of surfacing the pipe error.
-                # But when http.client already tore the socket down there
-                # is nothing to read: surface the connection error (a
-                # bare getresponse() would die on the closed socket)
-                if connection.sock is None:
-                    raise
-            response = connection.getresponse()
-            raw = response.read()
-            return response.status, json.loads(raw.decode("utf-8"))
-        finally:
-            connection.close()
-
-    def _checked(self, method: str, path: str,
-                 body: Optional[Dict] = None,
-                 ok: Tuple[int, ...] = (200,),
-                 extra_headers: Optional[Dict] = None) -> Tuple[int, Dict]:
-        # the positional 3-argument call is kept for unheadered requests:
-        # tests (and chaos harnesses) monkey-patch ``request`` with
-        # scripted transports speaking exactly that signature
-        if extra_headers:
-            status, payload = self.request(method, path, body, extra_headers)
-        else:
-            status, payload = self.request(method, path, body)
-        if status not in ok:
-            raise HttpError(status, payload)
-        return status, payload
-
-    @staticmethod
-    def _trace_headers(trace_id: Optional[str]) -> Optional[Dict]:
-        return {"X-Request-Id": trace_id} if trace_id is not None else None
-
-    # -- endpoints ----------------------------------------------------------
-    def infer(self, image: np.ndarray, *, model: Optional[str] = None,
-              priority: Optional[str] = None,
-              deadline_ms: Optional[float] = None,
-              binary: bool = False,
-              trace_id: Optional[str] = None) -> WireResult:
-        """``POST /v1/infer``; raises :class:`HttpError` on any failure
-        (``code "shed"`` carries the receipt).  ``trace_id`` travels as
-        the ``X-Request-Id`` header and comes back in the receipt."""
-        body: Dict = {}
-        if binary:
-            body["input_b64"] = encode_array(np.asarray(image))
-        else:
-            body["input"] = np.asarray(image).tolist()
-        if model is not None:
-            body["model"] = model
-        if priority is not None:
-            body["priority"] = priority
-        if deadline_ms is not None:
-            body["deadline_ms"] = deadline_ms
-        _, payload = self._checked("POST", "/v1/infer", body,
-                                   extra_headers=self._trace_headers(trace_id))
-        return WireResult.from_body(payload)
-
-    def infer_batch(self, images, *, model: Optional[str] = None,
-                    priority: Optional[str] = None,
-                    deadline_ms: Optional[float] = None,
-                    binary: bool = False,
-                    trace_id: Optional[str] = None
-                    ) -> List[Union[WireResult, HttpError]]:
-        """``POST /v1/infer_batch``; per-item results in request order —
-        a :class:`WireResult` for served items, an (unraised)
-        :class:`HttpError` for shed ones.  Raises on envelope-level
-        failures (malformed request, unknown model, all items shed)."""
-        body: Dict = {}
-        if binary:
-            body["inputs_b64"] = [encode_array(np.asarray(image))
-                                  for image in images]
-        else:
-            body["inputs"] = [np.asarray(image).tolist() for image in images]
-        if model is not None:
-            body["model"] = model
-        if priority is not None:
-            body["priority"] = priority
-        if deadline_ms is not None:
-            body["deadline_ms"] = deadline_ms
-        # 503 with a "results" envelope is the every-item-shed case: the
-        # per-item receipts are the payload, so decode rather than raise
-        headers = self._trace_headers(trace_id)
-        if headers:
-            status, payload = self.request("POST", "/v1/infer_batch", body,
-                                           headers)
-        else:
-            status, payload = self.request("POST", "/v1/infer_batch", body)
-        if status not in (200, 207, 503) or "results" not in payload:
-            raise HttpError(status, payload)
-        out: List[Union[WireResult, HttpError]] = []
-        for item in payload["results"]:
-            if "error" in item:
-                out.append(HttpError(503, item))
-            else:
-                out.append(WireResult.from_body(item))
-        return out
-
-    @staticmethod
-    def _retry_after(payload) -> Optional[float]:
-        """The server's ``Retry-After`` hint, read from the JSON mirror
-        (``error.retry_after_s`` — this client decodes bodies, not
-        headers); ``None`` when absent or unusable."""
-        if not isinstance(payload, dict):
-            return None
-        error = payload.get("error")
-        if not isinstance(error, dict):
-            return None
-        hint = error.get("retry_after_s")
-        if isinstance(hint, (int, float)) and not isinstance(hint, bool) \
-                and hint >= 0:
-            return float(hint)
-        return None
-
-    def _get_retrying(self, path: str,
-                      retry_statuses: Tuple[int, ...] = (503,)
-                      ) -> Tuple[int, Dict]:
-        """GET with the idempotent retry policy (see the class docstring).
-
-        Retries connection-level errors always; HTTP statuses only when
-        listed in ``retry_statuses``.  A retried 503 carrying the
-        server's ``Retry-After`` hint sleeps that long instead of the
-        computed backoff (the server knows its own drain/shed horizon).
-        After the last attempt the final outcome — error or response —
-        surfaces unchanged.
-        """
-        for attempt in range(self.retries + 1):
-            last_attempt = attempt == self.retries
-            server_hint = None
-            try:
-                status, payload = self.request("GET", path)
-            except OSError:
-                if last_attempt:
-                    raise
-            else:
-                if status not in retry_statuses or last_attempt:
-                    return status, payload
-                server_hint = self._retry_after(payload)
-            time.sleep(server_hint if server_hint is not None
-                       else self.backoff_delay(attempt))
-        raise AssertionError("unreachable")   # pragma: no cover
-
-    def stats(self) -> Dict:
-        status, payload = self._get_retrying("/v1/stats")
-        if status != 200:
-            raise HttpError(status, payload)
-        return payload
-
-    def models(self) -> Dict:
-        status, payload = self._get_retrying("/v1/models")
-        if status != 200:
-            raise HttpError(status, payload)
-        return payload
-
-    def healthz(self) -> Dict:
-        """Liveness probe — returns the body for both 200 and 503
-        (draining) so operators can poll it during a drain.  Retries
-        connection errors only: a 503 here is a *valid* draining body,
-        not a transient to paper over."""
-        status, payload = self._get_retrying("/healthz", retry_statuses=())
-        if status not in (200, 503):
-            raise HttpError(status, payload)
-        return payload
-
-    # -- observability endpoints -------------------------------------------
-    def request_text(self, method: str, path: str) -> Tuple[int, str]:
-        """One raw round trip returning the body *undecoded* — the
-        ``/metrics`` path, whose 200 body is Prometheus text, not JSON.
-        (Separate from :meth:`request` so scripted-transport tests can
-        patch the two independently.)"""
-        connection = HTTPConnection(self.host, self.port,
-                                    timeout=self.timeout)
-        try:
-            connection.request(method, path,
-                               headers={"Connection": "close"})
-            response = connection.getresponse()
-            return response.status, response.read().decode("utf-8")
-        finally:
-            connection.close()
-
-    def metrics(self) -> str:
-        """``GET /metrics`` — the raw Prometheus text exposition (the one
-        non-JSON body of the protocol; parse with
-        :func:`repro.obs.parse_prometheus_text`).  Idempotent: retried
-        on connection errors and 503 like the other GETs, honoring the
-        server's ``Retry-After`` mirror when a 503 body carries one."""
-        for attempt in range(self.retries + 1):
-            last_attempt = attempt == self.retries
-            server_hint = None
-            try:
-                status, text = self.request_text("GET", "/metrics")
-            except OSError:
-                if last_attempt:
-                    raise
-            else:
-                if status == 200:
-                    return text
-                try:
-                    payload = json.loads(text)
-                except ValueError:
-                    payload = {"error": {"code": "internal",
-                                         "message": text}}
-                if status != 503 or last_attempt:
-                    raise HttpError(status, payload)
-                server_hint = self._retry_after(payload)
-            time.sleep(server_hint if server_hint is not None
-                       else self.backoff_delay(attempt))
-        raise AssertionError("unreachable")   # pragma: no cover
-
-    def usage(self) -> Dict:
-        """``GET /v1/usage`` — the per-(model, class) usage snapshot."""
-        status, payload = self._get_retrying("/v1/usage")
-        if status != 200:
-            raise HttpError(status, payload)
-        return payload
-
-    def trace(self, trace_id: str) -> Dict:
-        """``GET /v1/trace/<id>`` — one stored trace record; raises
-        :class:`HttpError` (``code "not_found"``) once evicted.
-        Idempotent: connection errors and 503s are retried; a 404 is a
-        definitive answer and surfaces immediately."""
-        status, payload = self._get_retrying(f"/v1/trace/{trace_id}")
-        if status != 200:
-            raise HttpError(status, payload)
-        return payload
-
-    # -- the SSE streaming path (async front end only) ---------------------
-    def infer_batch_stream(self, images, *, model: Optional[str] = None,
-                           priority: Optional[str] = None,
-                           deadline_ms: Optional[float] = None,
-                           binary: bool = False,
-                           trace_id: Optional[str] = None):
-        """``POST /v1/infer_batch?stream=1`` against the *async* front
-        end: a generator of ``(event, data)`` tuples as the server emits
-        them — ``("result", {..., "index": i})`` / ``("shed", {...,
-        "index": i})`` per item in resolution order, then one terminal
-        ``("done", {"completed": n, "shed": m})``.  Raises
-        :class:`HttpError` on envelope-level failures (the server
-        answers plain JSON before switching to the event stream)."""
-        body: Dict = {}
-        if binary:
-            body["inputs_b64"] = [encode_array(np.asarray(image))
-                                  for image in images]
-        else:
-            body["inputs"] = [np.asarray(image).tolist() for image in images]
-        if model is not None:
-            body["model"] = model
-        if priority is not None:
-            body["priority"] = priority
-        if deadline_ms is not None:
-            body["deadline_ms"] = deadline_ms
-        connection = HTTPConnection(self.host, self.port,
-                                    timeout=self.timeout)
-        try:
-            headers = {"Content-Type": "application/json",
-                       "Connection": "close"}
-            if trace_id is not None:
-                headers["X-Request-Id"] = trace_id
-            connection.request("POST", "/v1/infer_batch?stream=1",
-                               body=json.dumps(body).encode("utf-8"),
-                               headers=headers)
-            response = connection.getresponse()
-            content_type = response.getheader("Content-Type") or ""
-            if response.status != 200 \
-                    or "text/event-stream" not in content_type:
-                raise HttpError(response.status,
-                                json.loads(response.read().decode("utf-8")))
-            yield from iter_sse_events(response)
-        finally:
-            connection.close()
+    def _drain_backend(self, timeout: Optional[float]) -> None:
+        if self.owns_server:
+            self.server.shutdown(timeout)

@@ -1,113 +1,23 @@
-"""Request queue and deadline-driven batch coalescing.
+"""The dispatch loop between a request queue and the batch executor.
 
-The serving front end's two moving parts:
-
-* :class:`RequestQueue` — a thread-safe FIFO of pending requests with one
-  batching primitive, :meth:`RequestQueue.get_batch`: block for the first
-  request, then keep collecting until either ``max_batch`` requests are in
-  hand or the *oldest* request has waited ``max_wait_s`` since it was
-  enqueued.  Anchoring the deadline on the oldest request's enqueue time
-  (not on when the batcher woke up) makes ``max_wait_s`` a real latency
-  budget: no request sits in the queue longer than ``max_wait_s`` waiting
-  for batch mates.
-* :class:`Batcher` — the dispatch loop.  One daemon thread drains the
-  queue batch by batch, hands each batch to a dispatch callback, and — on
-  a dispatch error — fails every request in the batch so no caller hangs.
-
-Both are independent of what a "request" is beyond carrying ``enqueue_t``
-and ``future`` attributes; :mod:`repro.serving.server` provides the
-concrete request type and the dispatch callback.
+:class:`Batcher` drains a queue batch by batch on one daemon thread,
+hands each batch to a dispatch callback, and — on a dispatch error —
+fails every request in the batch so no caller hangs.  The queue is
+:class:`repro.serving.scheduler.SlaQueue`, whose ``get_batch()`` carries
+the per-class coalescing knobs (FIFO is the single-class
+:meth:`~repro.serving.scheduler.SlaPolicy.fifo` policy); the batcher is
+independent of what a "request" is beyond its ``future`` attribute.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
-from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, field
+from concurrent.futures import InvalidStateError
 from typing import Callable, List, Optional
-
-import numpy as np
 
 
 class QueueClosed(RuntimeError):
-    """Raised by :meth:`RequestQueue.put` after :meth:`RequestQueue.close`."""
-
-
-@dataclass
-class PendingRequest:
-    """One enqueued image waiting to ride a batch."""
-
-    request_id: int
-    image: np.ndarray
-    enqueue_t: float = field(default_factory=time.monotonic)
-    future: Future = field(default_factory=Future)
-
-
-class RequestQueue:
-    """Thread-safe FIFO with deadline-driven batch extraction."""
-
-    def __init__(self):
-        self._items: deque = deque()
-        self._cond = threading.Condition()
-        self._closed = False
-
-    @property
-    def depth(self) -> int:
-        """Requests currently waiting (a gauge, racy by nature)."""
-        with self._cond:
-            return len(self._items)
-
-    @property
-    def closed(self) -> bool:
-        with self._cond:
-            return self._closed
-
-    def put(self, item) -> None:
-        with self._cond:
-            if self._closed:
-                raise QueueClosed("request queue is closed")
-            self._items.append(item)
-            self._cond.notify()
-
-    def close(self) -> None:
-        """Refuse new :meth:`put` calls; queued items remain drainable."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    def get_batch(self, max_batch: int, max_wait_s: float) -> Optional[List]:
-        """Extract the next coalesced batch (or ``None`` when drained).
-
-        Blocks until at least one item is available, then collects up to
-        ``max_batch`` items, waiting out the remainder of the *oldest*
-        item's ``max_wait_s`` latency budget for more to arrive.  Returns
-        ``None`` only when the queue is closed **and** empty — the
-        batcher's termination signal.
-        """
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
-        with self._cond:
-            while not self._items:
-                if self._closed:
-                    return None
-                self._cond.wait()
-            batch = [self._items.popleft()]
-            deadline = getattr(batch[0], "enqueue_t",
-                               time.monotonic()) + max_wait_s
-            while len(batch) < max_batch:
-                while self._items and len(batch) < max_batch:
-                    batch.append(self._items.popleft())
-                if len(batch) >= max_batch or self._closed:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(timeout=remaining)
-            return batch
+    """Raised by a queue's ``put`` after its ``close``."""
 
 
 class Batcher:
@@ -119,38 +29,19 @@ class Batcher:
     that exception — a dispatch error never strands a caller — and keeps
     serving subsequent batches.
 
-    Two queue shapes are accepted: this module's FIFO
-    :class:`RequestQueue`, whose ``get_batch(max_batch, max_wait_s)``
-    is driven with the batcher's own coalescing knobs, and an SLA queue
-    (:class:`repro.serving.scheduler.SlaQueue`, recognised by its
-    ``policy`` attribute), whose zero-argument ``get_batch`` carries the
-    per-class knobs itself — the FIFO server is then just the batcher
-    over the degenerate single-class policy.
+    ``queue.get_batch()`` returns the next coalesced batch, or ``None``
+    once the queue is closed and drained — the loop's termination signal.
     """
 
-    def __init__(self, queue, dispatch: Callable[[List], None],
-                 *, max_batch: int = 8, max_wait_s: float = 0.002):
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
+    def __init__(self, queue, dispatch: Callable[[List], None]):
         self.queue = queue
         self.dispatch = dispatch
-        self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
-        # the SLA queue's batching knobs live in its policy, per class
-        self._policy_driven = hasattr(queue, "policy")
         self._thread: Optional[threading.Thread] = None
-
-    def _next_batch(self) -> Optional[List]:
-        if self._policy_driven:
-            return self.queue.get_batch()
-        return self.queue.get_batch(self.max_batch, self.max_wait_s)
 
     def run(self) -> None:
         """Serve until the queue is closed and drained."""
         while True:
-            batch = self._next_batch()
+            batch = self.queue.get_batch()
             if batch is None:
                 return
             try:

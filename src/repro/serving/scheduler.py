@@ -1,8 +1,7 @@
 """SLA-aware request scheduling: priority classes, deadlines, shedding.
 
-The FIFO batcher (:class:`repro.serving.queue.RequestQueue`) has exactly
-one scheduling rule — oldest first, one coalescing deadline.  This module
-replaces it with a *policy*:
+A FIFO batcher has exactly one scheduling rule — oldest first, one
+coalescing deadline.  This module makes scheduling a *policy*:
 
 * every request carries a **priority class** and an optional per-request
   **deadline**; the dispatch loop always serves the oldest *eligible*
@@ -29,9 +28,10 @@ replaces it with a *policy*:
 
 The single-model FIFO server is the degenerate policy —
 :meth:`SlaPolicy.fifo` builds one class with no deadlines and no
-shedding, under which :meth:`SlaQueue.get_batch` reproduces the
-``RequestQueue`` coalescing semantics exactly (oldest request anchors the
-``max_wait_s`` budget; a full ``max_batch`` releases immediately).
+shedding, under which :meth:`SlaQueue.get_batch` is the classic FIFO
+coalescing queue (the oldest request anchors the ``max_wait_s`` budget,
+so it is a true latency budget; a full ``max_batch`` releases
+immediately).
 
 Batching across classes
 -----------------------
@@ -176,10 +176,8 @@ class SlaRequest:
     submitter resolved ``model`` to (the server stores the
     :class:`~repro.serving.registry.RegisteredModel` here, so dispatch
     never re-resolves the name — an unregister between submit and
-    dispatch cannot fail an accepted request).  Carries the same
-    ``enqueue_t`` / ``future`` attributes the FIFO
-    :class:`~repro.serving.queue.PendingRequest` does, so the dispatch
-    machinery is shared.
+    dispatch cannot fail an accepted request).  ``future`` is what the
+    :class:`~repro.serving.queue.Batcher` resolves or fails.
     """
 
     request_id: int
@@ -490,13 +488,11 @@ class SlaQueue:
         out: List[SlaRequest] = [head]
         for pending in self._pending:
             for request in pending:
-                if request is head:
-                    continue
-                if (request.model == head.model
+                if len(out) >= limit:
+                    return out
+                if (request is not head and request.model == head.model
                         and request.entry is head.entry):
                     out.append(request)
-                    if len(out) >= limit:
-                        return out
         return out
 
     def _remove_locked(self, batch: Sequence[SlaRequest]) -> None:

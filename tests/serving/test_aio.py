@@ -1,8 +1,8 @@
 """The asyncio front end's core contract: same wire, same bits, plus SSE.
 
 The :class:`~repro.serving.aio.AsyncFrontend` speaks the exact protocol
-of the threaded front end (it imports the same encode/decode helpers),
-so the acceptance matrix is the same: a decoded ``POST /v1/infer``
+of the threaded front end (both shells ask the same route table what a
+request means), so the acceptance matrix is the same: a decoded ``POST /v1/infer``
 response must be **bit-identical** to the in-process
 ``InferenceServer.submit`` result and to the serial single-image
 forward — at any worker count, read noise on and off, JSON or base64
@@ -188,9 +188,11 @@ class TestSseStreaming:
         assert done["shed"] == len(sheds)
         assert done["completed"] == len(events) - 1 - len(sheds)
 
-    def test_stream_on_threaded_frontend_is_plain_batch(self, network_case):
-        """The threaded front end ignores the stream flag (no SSE) but
-        still answers the batch correctly — the degenerate case."""
+    def test_stream_on_threaded_frontend_is_invalid_request(self,
+                                                            network_case):
+        """The threaded shell cannot stream: ``?stream=1`` is refused
+        as 400 ``invalid_request`` (docs/serving.md §10), not served as
+        a plain batch and not a 404."""
         from repro.serving import HttpFrontend
         images = network_case[2][:2]
         with make_server(network_case, workers=1) as server:
@@ -198,8 +200,8 @@ class TestSseStreaming:
                 client = HttpClient.for_frontend(frontend)
                 with pytest.raises(HttpError) as err:
                     list(client.infer_batch_stream(images))
-        # not SSE: the client refuses to parse a non-event-stream reply
-        assert err.value.status in (200, 400, 404)
+        assert err.value.status == 400
+        assert err.value.code == "invalid_request"
 
 
 class TestTransportBackpressure:
@@ -272,6 +274,8 @@ class TestTransportBackpressure:
                 threading.Event().wait(0.01)
                 deadline -= 1
             assert frontend.peak_connections >= 5
+            assert "forms_async_connections" in \
+                HttpClient.for_frontend(frontend).metrics()
             for sock in socks:
                 sock.close()
         finally:
@@ -279,20 +283,6 @@ class TestTransportBackpressure:
 
 
 class TestAsyncOperationalEndpoints:
-    def test_get_surface_matches_threaded(self, network_case):
-        with make_server(network_case, workers=1) as server:
-            with AsyncFrontend(server) as frontend:
-                client = HttpClient.for_frontend(frontend)
-                assert client.healthz()["status"] == "ok"
-                assert "default" in client.models()["models"]
-                client.infer(network_case[2][0])
-                snapshot = client.stats()
-                assert snapshot["requests_completed"] >= 1
-                exposition = client.metrics()
-                assert "forms_async_connections" in exposition
-                usage = client.usage()
-                assert usage["totals"]["requests"] >= 1
-
     def test_trace_roundtrip(self, network_case):
         with make_server(network_case, workers=1) as server:
             with AsyncFrontend(server) as frontend:

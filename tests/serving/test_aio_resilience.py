@@ -13,13 +13,10 @@ one of
   stream tears mid-flight: truncated event iterator), or
 * a **documented 503** (``shutting_down`` / ``shed`` with a receipt),
 
-and never a hang.  Plus the async twins of the Retry-After and
-X-Request-Id contracts, which share the threaded implementation's
-helpers but travel a different handler.
+and never a hang.  (The Retry-After and X-Request-Id contracts run on
+both shells from ``test_http_resilience.py``.)
 """
 
-import http.client
-import json
 import threading
 import time
 
@@ -27,9 +24,8 @@ import numpy as np
 import pytest
 
 from repro.nn.tensor import Tensor
-from repro.serving import (DEFAULT_RETRY_AFTER_S, AsyncFrontend, HttpClient,
-                           HttpError, InferenceServer, ModelRegistry)
-from repro.serving.http import _TRACE_ID_RE
+from repro.serving import (AsyncFrontend, HttpClient, HttpError,
+                           InferenceServer, ModelRegistry)
 
 
 def make_frontend(*, delay=0.0, **frontend_kwargs):
@@ -44,62 +40,6 @@ def make_frontend(*, delay=0.0, **frontend_kwargs):
     server = InferenceServer(registry=registry, max_batch=2, max_wait_s=0.0)
     return AsyncFrontend(server, owns_server=True,
                          **frontend_kwargs).start()
-
-
-def raw_request(frontend, method, path, *, body=None, headers=None):
-    connection = http.client.HTTPConnection(frontend.host, frontend.port,
-                                            timeout=10.0)
-    try:
-        payload = None if body is None else json.dumps(body).encode()
-        base = {"Content-Type": "application/json"} if payload else {}
-        base.update(headers or {})
-        connection.request(method, path, body=payload, headers=base)
-        response = connection.getresponse()
-        decoded = json.loads(response.read().decode())
-        return response.status, dict(response.getheaders()), decoded
-    finally:
-        connection.close()
-
-
-class TestAsyncResilienceHeaders:
-    def test_503_carries_retry_after_and_mirror(self):
-        frontend = make_frontend()
-        try:
-            frontend._draining = True   # deterministic 503, socket still up
-            status, headers, payload = raw_request(
-                frontend, "POST", "/v1/infer", body={"input": [1.0]})
-        finally:
-            frontend._draining = False
-            frontend.shutdown()
-        assert status == 503
-        assert payload["error"]["code"] == "shutting_down"
-        assert headers["Retry-After"] == f"{DEFAULT_RETRY_AFTER_S:g}"
-        assert payload["error"]["retry_after_s"] == DEFAULT_RETRY_AFTER_S
-
-    def test_trace_id_echo_and_mint(self):
-        frontend = make_frontend()
-        try:
-            _, echoed, _ = raw_request(frontend, "GET", "/healthz",
-                                       headers={"X-Request-Id": "req-a1"})
-            _, minted, _ = raw_request(frontend, "GET", "/healthz",
-                                       headers={"X-Request-Id": "bad id"})
-        finally:
-            frontend.shutdown()
-        assert echoed["X-Request-Id"] == "req-a1"
-        assert minted["X-Request-Id"] != "bad id"
-        assert _TRACE_ID_RE.match(minted["X-Request-Id"])
-
-    def test_error_body_carries_trace_id(self):
-        frontend = make_frontend()
-        try:
-            status, headers, payload = raw_request(
-                frontend, "GET", "/v1/nope",
-                headers={"X-Request-Id": "trace-async-7"})
-        finally:
-            frontend.shutdown()
-        assert status == 404
-        assert payload["error"]["trace_id"] == "trace-async-7"
-        assert headers["X-Request-Id"] == "trace-async-7"
 
 
 class TestDrainRacingStreamsAndBatches:

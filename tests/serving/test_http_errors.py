@@ -2,9 +2,11 @@
 
 Each malformed/hostile request must come back as the documented status +
 structured code (``docs/serving.md``) — and must never wedge the server:
-after every error case a well-formed request still succeeds.  Fast fake
-networks keep these deterministic; the real-engine numerics live in
-``test_http.py``.
+after every error case a well-formed request still succeeds.  The whole
+contract runs on both shells: every test class here is the threaded
+case, and its ``...Asyncio`` twin at the bottom of the file re-runs the
+same methods against :class:`AsyncFrontend`.  Fast fake networks keep
+these deterministic; the real-engine numerics live in ``test_http.py``.
 """
 
 import http.client
@@ -17,10 +19,10 @@ import numpy as np
 import pytest
 
 from repro.nn.tensor import Tensor
-from repro.serving import (ERROR_CODES, AdmissionController, HttpClient,
-                           HttpError, HttpFrontend, InferenceServer,
-                           ModelRegistry)
-from repro.serving.http import decode_array_b64, encode_array
+from repro.serving import (ERROR_CODES, AdmissionController, AsyncFrontend,
+                           HttpClient, HttpError, HttpFrontend,
+                           InferenceServer, ModelRegistry)
+from repro.serving.wire import decode_array_b64, encode_array
 
 IMAGE = np.arange(4.0)
 
@@ -29,12 +31,17 @@ def toy_network(tensor):
     return Tensor(tensor.data.reshape(tensor.data.shape[0], -1) * 2.0)
 
 
+class OnThreaded:
+    """The shell a test class runs on (the twins override it)."""
+    FRONTEND = HttpFrontend
+
+
 @pytest.fixture()
-def frontend():
+def frontend(request):
     registry = ModelRegistry(workers=1)
     registry.register_network("toy", toy_network, image_shape=(4,))
     server = InferenceServer(registry=registry)
-    fe = HttpFrontend(server, max_body_bytes=64 * 1024).start()
+    fe = request.cls.FRONTEND(server, max_body_bytes=64 * 1024).start()
     try:
         yield fe
     finally:
@@ -91,7 +98,7 @@ def assert_still_serving(client):
     np.testing.assert_array_equal(result.output, IMAGE * 2.0)
 
 
-class TestMalformedRequests:
+class TestMalformedRequests(OnThreaded):
     def test_malformed_json(self, frontend, client):
         status, payload = raw_post(frontend, "/v1/infer", b"{not json!")
         assert_error(status, payload, 400, "malformed_json")
@@ -134,7 +141,7 @@ class TestMalformedRequests:
         assert_still_serving(client)
 
 
-class TestRoutingErrors:
+class TestRoutingErrors(OnThreaded):
     def test_wrong_shape(self, client):
         status, payload = client.request(
             "POST", "/v1/infer", {"input": np.zeros((3, 3)).tolist()})
@@ -167,7 +174,7 @@ class TestRoutingErrors:
         assert_still_serving(client)
 
 
-class TestBodyBounds:
+class TestBodyBounds(OnThreaded):
     def test_oversized_body_refused_unread(self, frontend, client):
         huge = {"input": np.zeros(130 * 1024).tolist()}   # ~> 64 KiB bound
         status, payload = client.request("POST", "/v1/infer", huge)
@@ -200,7 +207,7 @@ class TestBodyBounds:
         assert_still_serving(client)
 
 
-class TestBatchEndpointErrors:
+class TestBatchEndpointErrors(OnThreaded):
     def test_empty_inputs(self, client):
         status, payload = client.request("POST", "/v1/infer_batch",
                                          {"inputs": []})
@@ -233,7 +240,7 @@ class TestBatchEndpointErrors:
         assert_still_serving(client)
 
 
-class TestShedOverTheWire:
+class TestShedOverTheWire(OnThreaded):
     def make_slow_frontend(self, *, admission=None, delay=0.35):
         registry = ModelRegistry(workers=1)
 
@@ -244,7 +251,7 @@ class TestShedOverTheWire:
         registry.register_network("slow", slow, image_shape=(4,))
         server = InferenceServer(registry=registry, max_batch=1,
                                  max_wait_s=0.0, admission=admission)
-        return HttpFrontend(server, owns_server=True).start()
+        return self.FRONTEND(server, owns_server=True).start()
 
     def test_deadline_shed_carries_receipt(self):
         frontend = self.make_slow_frontend()
@@ -290,7 +297,7 @@ class TestShedOverTheWire:
         assert refusal_s < 0.2     # refused at intake, not after queueing
 
 
-class TestMidShutdown:
+class TestMidShutdown(OnThreaded):
     def test_request_arriving_mid_drain(self):
         registry = ModelRegistry(workers=1)
 
@@ -301,7 +308,7 @@ class TestMidShutdown:
         registry.register_network("slow", slow, image_shape=(4,))
         server = InferenceServer(registry=registry, max_batch=1,
                                  max_wait_s=0.0)
-        frontend = HttpFrontend(server, owns_server=True).start()
+        frontend = self.FRONTEND(server, owns_server=True).start()
         client = HttpClient.for_frontend(frontend)
         inflight = {}
 
@@ -322,6 +329,13 @@ class TestMidShutdown:
         closer.join(timeout=5.0)
         # the in-flight request drained to a real, exact response
         np.testing.assert_array_equal(inflight["result"].output, IMAGE * 2.0)
+
+
+# the same contract on the asyncio shell
+for _cls in (TestMalformedRequests, TestRoutingErrors, TestBodyBounds,
+             TestBatchEndpointErrors, TestShedOverTheWire, TestMidShutdown):
+    globals()[f"{_cls.__name__}Asyncio"] = type(
+        f"{_cls.__name__}Asyncio", (_cls,), {"FRONTEND": AsyncFrontend})
 
 
 def test_docs_cover_every_endpoint_and_error_code():

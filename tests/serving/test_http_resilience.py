@@ -11,6 +11,10 @@ Three contracts, all client-visible:
 * a draining shutdown racing concurrent ``POST /v1/infer_batch``
   submissions resolves every request within a bounded wait: served
   bit-exactly or refused with a documented receipt, never a hang.
+
+The first two are properties of the shared reply path, so their classes
+run on both shells (the ``...Asyncio`` twins re-run the same methods
+against :class:`AsyncFrontend`).
 """
 
 import http.client
@@ -22,9 +26,10 @@ import numpy as np
 import pytest
 
 from repro.nn.tensor import Tensor
-from repro.serving import (DEFAULT_RETRY_AFTER_S, HttpClient, HttpError,
-                           HttpFrontend, InferenceServer, ModelRegistry)
-from repro.serving.http import _TRACE_ID_RE, new_trace_id
+from repro.serving import (DEFAULT_RETRY_AFTER_S, AsyncFrontend, HttpClient,
+                           HttpError, HttpFrontend, InferenceServer,
+                           ModelRegistry, new_trace_id)
+from repro.serving.wire import TRACE_ID_RE
 
 
 def linear_network(scale, shift):
@@ -34,7 +39,8 @@ def linear_network(scale, shift):
     return network
 
 
-def make_frontend(*, delay=0.0, **frontend_kwargs):
+def make_frontend(*, delay=0.0, frontend_cls=HttpFrontend,
+                  **frontend_kwargs):
     registry = ModelRegistry(workers=1)
 
     def network(tensor):
@@ -44,7 +50,7 @@ def make_frontend(*, delay=0.0, **frontend_kwargs):
 
     registry.register_network("toy", network)
     server = InferenceServer(registry=registry, max_batch=2, max_wait_s=0.0)
-    return HttpFrontend(server, owns_server=True,
+    return frontend_cls(server, owns_server=True,
                         **frontend_kwargs).start()
 
 
@@ -66,8 +72,10 @@ def raw_request(frontend, method, path, *, body=None, headers=None):
 
 
 class TestRetryAfterHeader:
+    FRONTEND = HttpFrontend
+
     def test_503_carries_header_and_json_mirror(self):
-        frontend = make_frontend()
+        frontend = make_frontend(frontend_cls=self.FRONTEND)
         try:
             frontend._draining = True   # deterministic 503, socket still up
             status, headers, payload = raw_request(
@@ -81,7 +89,8 @@ class TestRetryAfterHeader:
         assert payload["error"]["retry_after_s"] == DEFAULT_RETRY_AFTER_S
 
     def test_hint_is_configurable(self):
-        frontend = make_frontend(retry_after_s=1.5)
+        frontend = make_frontend(frontend_cls=self.FRONTEND,
+                                 retry_after_s=1.5)
         try:
             frontend._draining = True
             status, headers, payload = raw_request(
@@ -94,7 +103,8 @@ class TestRetryAfterHeader:
         assert payload["error"]["retry_after_s"] == 1.5
 
     def test_hint_is_disableable(self):
-        frontend = make_frontend(retry_after_s=None)
+        frontend = make_frontend(frontend_cls=self.FRONTEND,
+                                 retry_after_s=None)
         try:
             frontend._draining = True
             status, headers, payload = raw_request(
@@ -107,7 +117,7 @@ class TestRetryAfterHeader:
         assert "retry_after_s" not in payload["error"]
 
     def test_success_carries_no_hint(self):
-        frontend = make_frontend()
+        frontend = make_frontend(frontend_cls=self.FRONTEND)
         try:
             status, headers, _ = raw_request(frontend, "GET", "/healthz")
         finally:
@@ -117,7 +127,7 @@ class TestRetryAfterHeader:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            make_frontend(retry_after_s=-0.1)
+            make_frontend(frontend_cls=self.FRONTEND, retry_after_s=-0.1)
 
 
 class ScriptedTransport:
@@ -151,8 +161,8 @@ class TestClientHonorsRetryAfter:
         client = self.fresh_client()
         client.request = ScriptedTransport(outcomes)
         sleeps = []
-        from repro.serving import http as http_module
-        monkeypatch.setattr(http_module.time, "sleep", sleeps.append)
+        from repro.serving import client as client_module
+        monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
         return client, sleeps
 
     def test_server_hint_replaces_computed_backoff(self, monkeypatch):
@@ -179,8 +189,10 @@ class TestClientHonorsRetryAfter:
 
 
 class TestTraceIdPropagation:
+    FRONTEND = HttpFrontend
+
     def test_valid_supplied_id_is_echoed(self):
-        frontend = make_frontend()
+        frontend = make_frontend(frontend_cls=self.FRONTEND)
         try:
             _, headers, _ = raw_request(frontend, "GET", "/healthz",
                                         headers={"X-Request-Id": "req-42"})
@@ -189,7 +201,7 @@ class TestTraceIdPropagation:
         assert headers["X-Request-Id"] == "req-42"
 
     def test_missing_or_invalid_id_gets_minted(self):
-        frontend = make_frontend()
+        frontend = make_frontend(frontend_cls=self.FRONTEND)
         try:
             _, bare, _ = raw_request(frontend, "GET", "/healthz")
             _, junk, _ = raw_request(frontend, "GET", "/healthz",
@@ -198,11 +210,11 @@ class TestTraceIdPropagation:
             frontend.shutdown()
         for headers in (bare, junk):
             minted = headers["X-Request-Id"]
-            assert _TRACE_ID_RE.match(minted)
+            assert TRACE_ID_RE.match(minted)
         assert junk["X-Request-Id"] != "has space"
 
     def test_receipt_carries_the_trace_id(self):
-        frontend = make_frontend()
+        frontend = make_frontend(frontend_cls=self.FRONTEND)
         try:
             client = HttpClient.for_frontend(frontend)
             result = client.infer(np.ones(4), trace_id="trace-receipt-1")
@@ -212,7 +224,7 @@ class TestTraceIdPropagation:
             frontend.shutdown()
 
     def test_error_body_carries_the_trace_id(self):
-        frontend = make_frontend()
+        frontend = make_frontend(frontend_cls=self.FRONTEND)
         try:
             status, headers, payload = raw_request(
                 frontend, "GET", "/v1/nope",
@@ -227,7 +239,15 @@ class TestTraceIdPropagation:
         minted = {new_trace_id() for _ in range(64)}
         assert len(minted) == 64
         for trace in minted:
-            assert _TRACE_ID_RE.match(trace)
+            assert TRACE_ID_RE.match(trace)
+
+
+class TestRetryAfterHeaderAsyncio(TestRetryAfterHeader):
+    FRONTEND = AsyncFrontend
+
+
+class TestTraceIdPropagationAsyncio(TestTraceIdPropagation):
+    FRONTEND = AsyncFrontend
 
 
 class TestDrainRacingBatchSubmissions:

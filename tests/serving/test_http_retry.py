@@ -193,7 +193,7 @@ class TestObservabilityGetsRetry:
                        '"retry_after_s": 0.05}}')
         scripted_text(client, hinted, (200, EXPOSITION))
         sleeps = []
-        from repro.serving import http as http_module
+        from repro.serving import client as http_module
         monkeypatch.setattr(http_module.time, "sleep", sleeps.append)
         assert client.metrics() == EXPOSITION
         assert sleeps == [0.05]

@@ -1,103 +1,28 @@
-"""RequestQueue / Batcher coalescing semantics."""
+"""Batcher dispatch-loop semantics over the FIFO policy's queue.
 
-import threading
-import time
+(The queue's own coalescing semantics — FIFO order, ``max_batch`` cap,
+the oldest request's ``max_wait_s`` budget, close/drain — are asserted
+on :class:`SlaQueue` in ``test_scheduler.py``.)
+"""
 
 import numpy as np
 import pytest
 
-from repro.serving import Batcher, PendingRequest, QueueClosed, RequestQueue
+from repro.serving import Batcher, SlaPolicy, SlaQueue, SlaRequest
+
+
+def fifo_queue(**knobs):
+    return SlaQueue(SlaPolicy.fifo(**knobs))
 
 
 def make_request(i=0):
-    return PendingRequest(i, np.zeros(2))
-
-
-class TestRequestQueue:
-    def test_fifo_and_depth(self):
-        queue = RequestQueue()
-        for i in range(3):
-            queue.put(make_request(i))
-        assert queue.depth == 3
-        batch = queue.get_batch(max_batch=8, max_wait_s=0.0)
-        assert [r.request_id for r in batch] == [0, 1, 2]
-        assert queue.depth == 0
-
-    def test_max_batch_caps_extraction(self):
-        queue = RequestQueue()
-        for i in range(5):
-            queue.put(make_request(i))
-        assert len(queue.get_batch(max_batch=2, max_wait_s=0.0)) == 2
-        assert len(queue.get_batch(max_batch=2, max_wait_s=0.0)) == 2
-        assert len(queue.get_batch(max_batch=2, max_wait_s=0.0)) == 1
-
-    def test_deadline_releases_partial_batch(self):
-        """max_wait_s is the oldest request's latency budget: a lone
-        request must not wait longer than that for batch mates."""
-        queue = RequestQueue()
-        queue.put(make_request())
-        start = time.monotonic()
-        batch = queue.get_batch(max_batch=8, max_wait_s=0.05)
-        elapsed = time.monotonic() - start
-        assert len(batch) == 1
-        assert elapsed < 1.0
-
-    def test_late_arrivals_join_within_budget(self):
-        queue = RequestQueue()
-        queue.put(make_request(0))
-
-        def late_put():
-            time.sleep(0.02)
-            queue.put(make_request(1))
-
-        threading.Thread(target=late_put).start()
-        batch = queue.get_batch(max_batch=8, max_wait_s=0.5)
-        assert len(batch) == 2
-
-    def test_full_batch_returns_without_waiting(self):
-        queue = RequestQueue()
-        for i in range(4):
-            queue.put(make_request(i))
-        start = time.monotonic()
-        batch = queue.get_batch(max_batch=4, max_wait_s=10.0)
-        assert len(batch) == 4
-        assert time.monotonic() - start < 1.0
-
-    def test_close_refuses_put_but_drains(self):
-        queue = RequestQueue()
-        queue.put(make_request(0))
-        queue.close()
-        with pytest.raises(QueueClosed):
-            queue.put(make_request(1))
-        assert len(queue.get_batch(max_batch=8, max_wait_s=0.0)) == 1
-        assert queue.get_batch(max_batch=8, max_wait_s=0.0) is None
-
-    def test_close_wakes_blocked_getter(self):
-        queue = RequestQueue()
-        result = {}
-
-        def getter():
-            result["batch"] = queue.get_batch(max_batch=8, max_wait_s=1.0)
-
-        thread = threading.Thread(target=getter)
-        thread.start()
-        time.sleep(0.02)
-        queue.close()
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert result["batch"] is None
-
-    def test_validates_parameters(self):
-        queue = RequestQueue()
-        with pytest.raises(ValueError):
-            queue.get_batch(max_batch=0, max_wait_s=0.0)
-        with pytest.raises(ValueError):
-            queue.get_batch(max_batch=1, max_wait_s=-1.0)
+    return SlaRequest(request_id=i, image=np.zeros(2), model="m",
+                      class_rank=0, priority_class="default")
 
 
 class TestBatcher:
     def test_dispatch_receives_coalesced_batches(self):
-        queue = RequestQueue()
+        queue = fifo_queue(max_batch=3, max_wait_s=0.01)
         seen = []
 
         def dispatch(batch):
@@ -105,7 +30,7 @@ class TestBatcher:
             for request in batch:
                 request.future.set_result(None)
 
-        batcher = Batcher(queue, dispatch, max_batch=3, max_wait_s=0.01)
+        batcher = Batcher(queue, dispatch)
         requests = [make_request(i) for i in range(7)]
         for request in requests:
             queue.put(request)
@@ -118,7 +43,7 @@ class TestBatcher:
         assert all(len(batch) <= 3 for batch in seen)
 
     def test_dispatch_error_fails_batch_not_server(self):
-        queue = RequestQueue()
+        queue = fifo_queue(max_batch=1, max_wait_s=0.0)
         calls = []
 
         def dispatch(batch):
@@ -128,7 +53,7 @@ class TestBatcher:
             for request in batch:
                 request.future.set_result("ok")
 
-        batcher = Batcher(queue, dispatch, max_batch=1, max_wait_s=0.0)
+        batcher = Batcher(queue, dispatch)
         first, second = make_request(0), make_request(1)
         queue.put(first)
         queue.put(second)
@@ -140,7 +65,9 @@ class TestBatcher:
         batcher.join(timeout=5.0)
 
     def test_validates_parameters(self):
+        """The coalescing knobs live in the policy now, and so does
+        their validation."""
         with pytest.raises(ValueError):
-            Batcher(RequestQueue(), lambda b: None, max_batch=0)
+            fifo_queue(max_batch=0)
         with pytest.raises(ValueError):
-            Batcher(RequestQueue(), lambda b: None, max_wait_s=-0.1)
+            fifo_queue(max_wait_s=-0.1)

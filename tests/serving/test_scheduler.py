@@ -118,6 +118,23 @@ class TestOrdering:
         queue.close()
         assert drain_ids(queue) == [[0, 1], [2, 3], [4]]
 
+    def test_max_batch_of_one_means_no_riders(self):
+        policy = SlaPolicy.fifo(max_batch=1, max_wait_s=0.0)
+        queue = SlaQueue(policy)
+        for i in range(3):
+            queue.put(make_request(i, policy=policy, rank=0))
+        queue.close()
+        assert drain_ids(queue) == [[0], [1], [2]]
+
+    def test_full_batch_returns_without_waiting(self):
+        policy = SlaPolicy.fifo(max_batch=4, max_wait_s=10.0)
+        queue = SlaQueue(policy)
+        for i in range(4):
+            queue.put(make_request(i, policy=policy, rank=0))
+        start = time.monotonic()
+        assert len(queue.get_batch()) == 4
+        assert time.monotonic() - start < 1.0
+
     def test_late_arrivals_join_within_budget(self):
         policy = SlaPolicy.fifo(max_batch=8, max_wait_s=0.5)
         queue = SlaQueue(policy)

@@ -24,7 +24,7 @@ import pytest
 
 from repro.serving import AsyncFrontend, HttpClient, HttpFrontend, \
     InferenceServer, ModelRegistry
-from repro.serving.http import (decode_array_b64, decode_array_json,
+from repro.serving.wire import (decode_array_b64, decode_array_json,
                                 encode_array)
 from repro.nn.tensor import Tensor
 
@@ -102,7 +102,7 @@ class TestCodecRoundTrip:
         assert_byte_exact(decode_array_json(wire), array)
 
     def test_b64_rejects_garbage(self):
-        from repro.serving.http import WireFormatError
+        from repro.serving.wire import WireFormatError
         with pytest.raises(WireFormatError):
             decode_array_b64("not-base64!!")
         with pytest.raises(WireFormatError):
