@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs drift gate: the docs must exist, be reachable, and stay complete.
 
-Four rules, each failing the check set (exit 1) the way a broken test
+Nine rules, each failing the check set (exit 1) the way a broken test
 would:
 
 1. ``README.md`` and ``docs/architecture.md`` exist and mention every
@@ -31,6 +31,12 @@ would:
    protocol's event vocabulary and its operator reference cannot drift
    apart (the front end refuses to emit an undocumented type; this rule
    keeps "documented" honest).
+9. Every backticked token ending in ``.py`` or ``.sh`` in ``README.md``,
+   ``docs/*.md`` and ``benchmarks/README.md`` resolves — exactly, as a
+   path suffix, or as a glob — to a tracked file: deleting or renaming a
+   script without sweeping the prose that sends readers to it fails the
+   gate.  (``benchmarks/e2e/README.md`` is outside the corpus: only a
+   benchmark PR may edit that directory.)
 
 Rules 3-8 introspect the real parser (``repro.cli.build_parser``), the
 real wire contract (``repro.serving.wire.ERROR_CODES``), the real
@@ -40,8 +46,10 @@ catalog (``repro.obs.metric_names``) and the real event vocabulary
 construction.  Run by ``scripts/checks.sh``.
 """
 
+import fnmatch
 import pathlib
 import re
+import subprocess
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -184,6 +192,35 @@ def check_stream_events(failures: list) -> int:
     return len(STREAM_EVENTS)
 
 
+def tracked_files() -> list:
+    """What git tracks; outside a checkout, what is on disk."""
+    try:
+        listed = subprocess.run(["git", "ls-files"], cwd=REPO_ROOT,
+                                capture_output=True, text=True, check=True)
+        return listed.stdout.split()
+    except (OSError, subprocess.CalledProcessError):
+        return [str(path.relative_to(REPO_ROOT))
+                for path in REPO_ROOT.rglob("*") if path.is_file()]
+
+
+def check_script_references(failures: list) -> int:
+    """Rule 9: every referenced ``.py`` / ``.sh`` names a tracked file."""
+    tracked = tracked_files()
+    pages = [REPO_ROOT / "README.md", *docs_files(),
+             REPO_ROOT / "benchmarks" / "README.md"]
+    count = 0
+    for page in pages:
+        for token in re.findall(r"`([^`\s]+\.(?:py|sh))`",
+                                read_if_exists(page)):
+            count += 1
+            if not any(fnmatch.fnmatch(name, token)
+                       or fnmatch.fnmatch(name, f"*/{token}")
+                       for name in tracked):
+                failures.append(f"{page.relative_to(REPO_ROOT)}: `{token}` "
+                                "names no tracked file")
+    return count
+
+
 def main() -> int:
     failures: list = []
     n_packages = check_packages(failures)
@@ -193,6 +230,7 @@ def main() -> int:
     n_backends = check_backends(failures)
     n_metrics = check_metric_names(failures)
     n_events = check_stream_events(failures)
+    n_scripts = check_script_references(failures)
     if failures:
         for failure in failures:
             print(f"ERROR: {failure}", file=sys.stderr)
@@ -202,7 +240,8 @@ def main() -> int:
           f"{len(subcommands)} subcommands, {len(serve_flags)} serve "
           f"flags, {n_codes} wire error codes, {n_backends} runtime "
           f"backends, {n_metrics} catalogued metrics and {n_events} "
-          "stream event types documented")
+          f"stream event types documented; {n_scripts} script references "
+          "resolve")
     return 0
 
 

@@ -5,8 +5,8 @@ acceleration: the ADMM co-design framework (:mod:`repro.core`), the numpy DNN
 training substrate (:mod:`repro.nn`), the ReRAM device/crossbar simulator
 (:mod:`repro.reram`), the accelerator architecture model (:mod:`repro.arch`),
 the parallel execution runtime (:mod:`repro.runtime`), the batching
-request-queue serving layer (:mod:`repro.serving`), the perf-tracking
-suites (:mod:`repro.perf`), and the evaluation harness
+request-queue serving layer (:mod:`repro.serving`), the engine
+micro-benchmark suite (:mod:`repro.perf`), and the evaluation harness
 (:mod:`repro.analysis`).
 
 Runtime architecture
@@ -41,11 +41,13 @@ The simulation stack splits scheduling from execution:
   bit-identical to a standalone single-image call at any batch
   composition, with per-request latency and engine-stats receipts.
 
-``benchmarks/run_perf_suite.py`` records the measured speedups of every
-layer of this stack to ``BENCH_engine.json`` (and
-``benchmarks/bench_serving.py`` the serving throughput/latency curve);
+``benchmarks/run_perf_suite.py`` records each fused engine path against
+its retained reference to ``BENCH_engine.json``; end-to-end performance
+(offline throughput, served latency and goodput, the per-layer budget)
+is measured by ``benchmarks/e2e/run.py`` against ``BENCHMARK.json``.
 ``scripts/checks.sh`` gates changes on the fast tier-1 tests, the
-headline perf floor, a serving smoke, and a docs-coverage check.
+headline perf floor on both runtime backends, a docs-coverage check and
+the six end-to-end workloads at a quarter length.
 """
 
 __version__ = "1.3.0"

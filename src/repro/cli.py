@@ -10,65 +10,42 @@ Regenerate any paper table/figure from a shell::
 (fast / standard / full); ``--out`` saves each rendered table next to
 printing it.
 
-``serve`` runs the inference server against synthetic Poisson traffic
-and prints per-request receipts plus the operational summary — a
-self-checking demo of :mod:`repro.serving` (every output is asserted
-bit-identical to the serial single-image path)::
+``serve`` is the one entry point to the serving stack; what it serves
+is :func:`repro.serving.demo.build_demo_server`.  Without ``--http`` it
+runs the in-process demo — open-loop Poisson arrivals, every served
+output asserted bit-identical to the serial single-image forward, then
+per-request receipts, the per-class summary and one request's span
+tree.  ``--models 2`` switches from one network behind a FIFO queue to
+two tenants on one shared pool under the two-class SLA policy
+(interactive deadlines via ``--deadline-ms``, a bulk latency bound,
+shed receipts)::
 
     python -m repro serve --requests 24 --rate 200 --max-batch 4 --workers 2
-
-With ``--models 2`` (or ``--priority-classes 2``) the demo switches to
-the multi-tenant shape: two models registered on one shared pool, served
-under the two-class SLA policy (interactive deadlines via
-``--deadline-ms``, bulk latency bound, shedding receipts), plus a
-cross-model die-dedup proof::
-
     python -m repro serve --models 2 --requests 32 --rate 400 --deadline-ms 50
 
-``--chaos`` runs the fault-recovery demo: scripted stuck-at die faults
-land on both tenants mid-traffic, the checksum guards detect them, the
-server quarantines and re-programs the dies online and retries the
-batches — every completed request asserted bit-identical to the
-*pre-fault* serial forward, zero hung futures, recovery receipts
-printed::
-
-    python -m repro serve --chaos --requests 24 --rate 400
-
-``--http PORT`` puts either demo server on a socket — the
-:class:`repro.serving.HttpFrontend` wire protocol documented in
-``docs/serving.md`` (``--http 0`` picks an ephemeral port) — and serves
-until Ctrl-C, printing the walkthrough curl lines.  ``--http-demo``
-instead replays ``--requests`` self-checking requests *through the
-wire* (concurrent clients, mixed classes with ``--models 2``, every
-decoded response asserted bit-identical to the in-process serial
-forward), drains, and exits — the CI smoke::
+``--http PORT`` puts the same server on a socket — the wire protocol of
+``docs/serving.md`` (``--http 0`` picks an ephemeral port) — prints the
+walkthrough curl lines and serves until Ctrl-C.  ``--async`` swaps the
+threaded front end for the asyncio one (same protocol plus SSE
+streaming and connection / inflight-byte backpressure), ``--sla-mode
+weighted_fair`` switches the scheduler to deficit-round-robin across
+the classes (scheduling only; served bits are identical either way)::
 
     python -m repro serve --http 8100                 # curl me
-    python -m repro serve --http 0 --http-demo --models 2 --requests 16
-
-``--async`` swaps the threaded front end for the asyncio
-:class:`repro.serving.AsyncFrontend` — same wire protocol plus SSE
-streaming (``POST /v1/infer_batch?stream=1``) and connection /
-inflight-byte backpressure — and ``--sla-mode weighted_fair`` switches
-the scheduler to deficit-round-robin across the classes (scheduling
-only; served bits are identical either way)::
-
     python -m repro serve --async --http 8100 --models 2 \
         --sla-mode weighted_fair
-    python -m repro serve --async --http 0 --http-demo --requests 16
 
 ``--cluster N`` puts a sharded cluster behind the same wire protocol:
 N subprocess replicas of the identical demo build under a
 :class:`repro.serving.ClusterRouter` (consistent-hash placement with
 ``--cluster-replication`` preferred replicas per model, health-checked
 failover, optional ``--hedge-ms`` hedged attempts, explicit
-``cluster_unavailable`` receipts when every replica is down).  With
-``--http-demo`` it runs the self-checking failover smoke instead: a
-replica is SIGKILLed and restarted mid-traffic, and every completed
-response is asserted bit-identical to the serial forward::
+``cluster_unavailable`` receipts when every replica is down)::
 
     python -m repro serve --cluster 3 --http 8100     # curl the router
-    python -m repro serve --cluster 2 --http 0 --http-demo --requests 16
+
+Performance is not measured here: ``benchmarks/e2e/run.py`` is the
+benchmark.
 """
 
 from __future__ import annotations
@@ -143,12 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate FORMS (ISCA 2021) evaluation tables/figures, "
-                    "or demo the batching inference server ('serve').")
+                    "or run the inference server ('serve').")
     choices = sorted(EXPERIMENTS) + ["all", "report", "serve"]
     parser.add_argument("experiment", choices=choices,
                         help="which artifact to regenerate ('report' builds "
                              "a combined markdown report of the fast ones; "
-                             "'serve' runs the self-checking serving demo)")
+                             "'serve' runs the serving demo or server)")
     parser.add_argument("--scale", default="fast", choices=sorted(SCALES),
                         help="experiment scale preset (default: fast)")
     parser.add_argument("--seed", type=int, default=0)
@@ -173,33 +150,20 @@ def build_parser() -> argparse.ArgumentParser:
                             "pool, 'process' fans tiles out to worker "
                             "processes over shared-memory planes — served "
                             "bits are identical either way (serve only; "
-                            "default: FORMS_BACKEND or thread; not "
-                            "compatible with --chaos, whose die guards "
-                            "live in-process)")
+                            "default: FORMS_BACKEND or thread; the "
+                            "--http server stays on threads)")
     serve.add_argument("--models", type=int, default=1, choices=(1, 2),
-                       help="number of tenant models: 2 selects the "
-                            "multi-tenant SLA demo (serve only)")
-    serve.add_argument("--priority-classes", type=int, default=None,
-                       choices=(1, 2),
-                       help="number of SLA classes (default: matches "
-                            "--models; 2 selects the SLA demo)")
+                       help="number of tenant models: 2 serves the "
+                            "fast/batch pair under the two-class SLA "
+                            "policy (serve only)")
     serve.add_argument("--deadline-ms", type=float, default=50.0,
                        help="per-request deadline of the interactive "
                             "class in the SLA demo; <= 0 disables "
                             "(serve only)")
-    serve.add_argument("--chaos", action="store_true",
-                       help="run the fault-recovery demo: scripted stuck-at "
-                            "die faults under mixed-tenant traffic, checksum "
-                            "detection, online re-program, bounded retry — "
-                            "self-checking (serve only)")
     serve.add_argument("--http", type=int, default=None, metavar="PORT",
                        help="expose the demo server over HTTP on PORT "
                             "(0 = ephemeral) and serve until Ctrl-C; "
                             "wire protocol in docs/serving.md (serve only)")
-    serve.add_argument("--http-demo", action="store_true",
-                       help="with --http: replay --requests self-checking "
-                            "requests through the wire, drain, and exit "
-                            "instead of serving forever (serve only)")
     serve.add_argument("--http-host", default="127.0.0.1",
                        help="bind address for --http (default: loopback "
                             "only; serve only)")
@@ -213,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--sla-mode", choices=("strict", "weighted_fair"),
                        default="strict",
                        help="cross-class arbitration of the single-process "
-                            "--http server: 'strict' is class precedence "
+                            "server: 'strict' is class precedence "
                             "(bulk can starve), 'weighted_fair' is "
                             "deficit-round-robin over the class weights "
                             "with aging — scheduling only, served bits are "
@@ -221,9 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cluster", type=int, default=None, metavar="N",
                        help="with --http: serve through a cluster router "
                             "over N subprocess replicas (health-checked "
-                            "failover, consistent-hash placement; with "
-                            "--http-demo runs the SIGKILL/restart failover "
-                            "smoke; serve only)")
+                            "failover, consistent-hash placement; "
+                            "serve only)")
     serve.add_argument("--cluster-replication", type=int, default=2,
                        metavar="R",
                        help="preferred replicas per model on the cluster's "
@@ -245,80 +208,63 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _serve(args) -> int:
+    """``python -m repro serve``: validate the flag mix, pick the mode."""
+    from .obs import Observability
+    from .serving.demo import run_cluster_server, run_demo, run_http_server
+
+    error = None
+    if args.trace_ring < 0:
+        error = "--trace-ring must be >= 0 (0 disables tracing)"
+    elif args.cluster is not None and args.http is None:
+        error = "--cluster requires --http PORT (the router's bind port)"
+    elif args.cluster is not None and args.cluster < 1:
+        error = "--cluster needs at least one replica"
+    elif args.cluster is not None and args.use_async:
+        error = ("--async serves a single process; the cluster router keeps "
+                 "the threaded front end (drop --async or --cluster)")
+    elif args.use_async and args.http is None:
+        error = ("--async requires --http PORT (it is the wire front end's "
+                 "event loop)")
+    elif args.backend == "process" and args.http is not None:
+        error = ("--http serves from the thread backend (the cluster already "
+                 "isolates replicas as subprocesses); drop --backend process")
+    if error is not None:
+        print(f"ERROR: {error}", file=sys.stderr)
+        return 2
+    if args.cluster is not None:
+        # the subprocess replicas boot their own default Observability:
+        # --no-metrics / --trace-ring do not reach across the fork
+        run_cluster_server(
+            args.cluster, host=args.http_host, port=args.http,
+            workers=args.workers if args.workers is not None else 1,
+            seed=args.seed, replication=args.cluster_replication,
+            hedge_delay_s=(args.hedge_ms / 1e3 if args.hedge_ms is not None
+                           else None))
+        return 0
+    if args.models > 1 and (args.max_batch, args.max_wait_ms) != (4, 2.0):
+        print("note: --max-batch/--max-wait-ms are FIFO knobs; the SLA "
+              "classes carry their own coalescing budgets (ignored here)")
+    build = dict(
+        deadline_ms=args.deadline_ms if args.deadline_ms > 0 else None,
+        max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
+        workers=args.workers, seed=args.seed, sla_mode=args.sla_mode,
+        obs=Observability(metrics=not args.no_metrics,
+                          trace_ring=args.trace_ring))
+    if args.http is not None:
+        run_http_server(args.models, host=args.http_host, port=args.http,
+                        use_async=args.use_async, **build)
+    else:
+        run_demo(args.requests, args.rate, args.models,
+                 backend=args.backend, **build)
+    return 0
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     scale = SCALES[args.scale]
     if args.experiment == "serve":
-        classes = (args.priority_classes if args.priority_classes is not None
-                   else args.models)
-        if args.http_demo and args.http is None:
-            print("ERROR: --http-demo requires --http PORT", file=sys.stderr)
-            return 2
-        if args.trace_ring < 0:
-            print("ERROR: --trace-ring must be >= 0 (0 disables tracing)",
-                  file=sys.stderr)
-            return 2
-        if args.cluster is not None:
-            if args.http is None:
-                print("ERROR: --cluster requires --http PORT (the router's "
-                      "bind port)", file=sys.stderr)
-                return 2
-            if args.cluster < 1:
-                print("ERROR: --cluster needs at least one replica",
-                      file=sys.stderr)
-                return 2
-            if args.use_async:
-                print("ERROR: --async serves a single process; the cluster "
-                      "router keeps the threaded front end (drop --async "
-                      "or --cluster)", file=sys.stderr)
-                return 2
-        if args.use_async and args.http is None:
-            print("ERROR: --async requires --http PORT (it is the wire "
-                  "front end's event loop)", file=sys.stderr)
-            return 2
-        if args.backend == "process" and args.chaos:
-            print("ERROR: --chaos needs the thread backend: its die guards "
-                  "and fault injection instrument live engine objects, "
-                  "which process workers never see", file=sys.stderr)
-            return 2
-        if args.backend == "process" and args.http is not None:
-            print("ERROR: --http serves from the thread backend (the "
-                  "cluster already isolates replicas as subprocesses); "
-                  "drop --backend process", file=sys.stderr)
-            return 2
-        if args.chaos:
-            if args.http is not None:
-                print("ERROR: --chaos is an in-process demo; drop --http",
-                      file=sys.stderr)
-                return 2
-            from .serving.demo import run_chaos_demo
-
-            run_chaos_demo(requests=args.requests, rate_rps=args.rate,
-                           workers=args.workers, seed=args.seed)
-            return 0
-        if args.http is not None:
-            from .serving.demo import run_http_cli
-
-            return run_http_cli(args)
-        if args.models > 1 or classes > 1:
-            from .serving.demo import run_multitenant_demo
-
-            if (args.max_batch, args.max_wait_ms) != (4, 2.0):
-                print("note: --max-batch/--max-wait-ms are FIFO knobs; "
-                      "the SLA demo's classes carry their own coalescing "
-                      "budgets (ignored here)")
-            deadline = (args.deadline_ms if args.deadline_ms is not None
-                        and args.deadline_ms > 0 else None)
-            run_multitenant_demo(requests=args.requests, rate_rps=args.rate,
-                                 deadline_ms=deadline, workers=args.workers,
-                                 backend=args.backend, seed=args.seed)
-            return 0
-        from .serving.demo import run_demo
-
-        run_demo(requests=args.requests, rate_rps=args.rate,
-                 max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-                 workers=args.workers, backend=args.backend, seed=args.seed)
-        return 0
+        return _serve(args)
     if args.experiment == "report":
         from .analysis.report import generate_report
 

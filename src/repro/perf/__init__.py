@@ -1,85 +1,25 @@
-"""Performance instrumentation and the engine perf-tracking suite.
+"""Engine micro-benchmark instrumentation and the fused-vs-reference suite.
 
-Two layers:
+Two modules, and nothing outside this package under ``src/repro/``
+imports either (the dependency runs harness -> product):
 
 * :mod:`repro.perf.instrument` — reusable wall-clock timing
   (:func:`time_callable`) and engine conversion-count metering
   (:class:`EngineMeter`) with no dependency on what is being measured;
 * :mod:`repro.perf.suite` — the micro-benchmark definitions behind
-  ``benchmarks/run_perf_suite.py``, which records the fused-engine speedup
-  trajectory to ``BENCH_engine.json`` at the repo root so every subsequent
-  performance PR has a baseline to beat;
-* :mod:`repro.perf.serving` — the serving-layer record kind: open-loop
-  Poisson throughput/latency points measured by
-  ``benchmarks/bench_serving.py`` and merged into the same
-  ``BENCH_engine.json`` (all recorders preserve each other's records);
-* :mod:`repro.perf.multitenant` — the multi-tenant extension of the
-  serving records: two tenants with opposed SLAs contending for one
-  worker pool (``benchmarks/bench_multitenant.py``), per-class and
-  per-model latency percentiles plus shed accounting;
-* :mod:`repro.perf.http` — the same open-loop Poisson traffic measured
-  *over the wire* through the :class:`~repro.serving.HttpFrontend`
-  (``benchmarks/bench_http.py``): client-side round-trip percentiles
-  next to the server-side snapshot, so transport cost is readable
-  against the in-process ``serving_poisson_*`` curve;
-* :mod:`repro.perf.aio` — connection scale on the asyncio front end
-  (``benchmarks/bench_async.py``): hundreds of simultaneously open
-  keep-alive sockets (barrier rendezvous, ``peak_connections`` asserted
-  server-side) firing open-loop Poisson requests through one event
-  loop, with the bit-identity / documented-receipts contract per point;
-* :mod:`repro.perf.chaos` — the ``"chaos"`` record kind: mixed-tenant
-  Poisson traffic under scripted die faults
-  (``benchmarks/bench_chaos.py``) — stuck-at injection, checksum
-  detection, quarantine + online re-program, bounded batch retry — with
-  the bit-identity / zero-hung-futures contract asserted per point;
-* :mod:`repro.perf.cluster` — the ``"cluster"`` record kind: open-loop
-  traffic through the :class:`~repro.serving.ClusterRouter` while
-  subprocess replicas are SIGKILLed and restarted mid-run
-  (``benchmarks/bench_cluster.py``) — failover/hedge accounting with
-  the same bit-identity / zero-hung / documented-receipts contract
-  asserted per point;
-* :mod:`repro.perf.obs` — the ``"obs"`` record kind: the cost of the
-  default-armed observability bundle (``benchmarks/bench_obs.py``) —
-  the same Poisson point driven with instruments on vs off, interleaved
-  and min-estimated, gated against the 5% mean dispatch-service-time
-  budget with the armed-vs-disabled outputs compared byte-for-byte.
+  ``benchmarks/run_perf_suite.py``, which records each fused engine
+  path against its retained reference to ``BENCH_engine.json`` at the
+  repo root.
+
+End-to-end performance — offline throughput, served latency and
+goodput, the per-layer budget — is measured by ``benchmarks/e2e/run.py``
+against ``BENCHMARK.json``, not here.
 """
 
-from .aio import (ASYNC_TRANSPORT, async_record_name,
-                  drive_async_connections, run_async_point)
-from .chaos import (CHAOS_RECORD_KIND, chaos_record_name,
-                    default_chaos_events, drive_chaos, run_chaos_point)
-from .cluster import (CLUSTER_RECORD_KIND, cluster_record_name,
-                      drive_cluster_chaos, run_cluster_point)
-from .http import (HTTP_TRANSPORT, drive_http_poisson, http_record_name,
-                   replay_http_open_loop, run_http_point)
 from .instrument import EngineMeter, TimingResult, time_callable
-from .multitenant import (drive_mixed_traffic, multitenant_record_name,
-                          run_multitenant_point, tenant_models)
-from .obs import (OBS_OVERHEAD_BUDGET_PCT, OBS_RECORD_KIND, obs_record_name,
-                  run_obs_point)
-from .serving import (SERVING_RECORD_KIND, drive_poisson,
-                      merge_records_into_file, merge_serving_records,
-                      poisson_arrival_offsets, run_poisson_point,
-                      serving_record_name)
-from .suite import (BENCH_SCHEMA, default_suite, run_suite, write_payload)
+from .suite import BENCH_SCHEMA, default_suite, run_suite, write_payload
 
 __all__ = [
     "TimingResult", "time_callable", "EngineMeter",
     "BENCH_SCHEMA", "default_suite", "run_suite", "write_payload",
-    "SERVING_RECORD_KIND", "drive_poisson", "merge_records_into_file",
-    "merge_serving_records", "poisson_arrival_offsets", "run_poisson_point",
-    "serving_record_name",
-    "drive_mixed_traffic", "multitenant_record_name",
-    "run_multitenant_point", "tenant_models",
-    "HTTP_TRANSPORT", "drive_http_poisson", "http_record_name",
-    "replay_http_open_loop", "run_http_point",
-    "ASYNC_TRANSPORT", "async_record_name", "drive_async_connections",
-    "run_async_point",
-    "CHAOS_RECORD_KIND", "chaos_record_name", "default_chaos_events",
-    "drive_chaos", "run_chaos_point",
-    "CLUSTER_RECORD_KIND", "cluster_record_name", "drive_cluster_chaos",
-    "run_cluster_point",
-    "OBS_OVERHEAD_BUDGET_PCT", "OBS_RECORD_KIND", "obs_record_name",
-    "run_obs_point",
 ]

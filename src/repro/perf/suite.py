@@ -15,7 +15,8 @@ speedups are *recorded*, not asserted from memory:
   scheduler on a post-ReLU-structured activation block (>= 50% zero
   bit-planes) versus the retained dense bit-plane kernel
   (:meth:`matvec_int_dense`, the PR-1 production path);
-* ``insitu_network_batch8_w{1,4}`` — whole-network inference through the
+* ``insitu_network_batch8_w{1,4}`` — whole-network inference (the demo
+  CNN of :func:`repro.serving.demo.post_relu_network`) through the
   ``repro.runtime`` tiled executor at 1 and 4 workers versus the serial
   full-batch dense-engine forward (the pre-runtime production path);
 * ``signed_matvec_mixed`` — the signed decomposition of
@@ -49,6 +50,7 @@ from ..reram import (ADCSpec, DeviceSpec, DieCache, ReRAMDevice,
 from ..reram.inference import _signed_matvec
 from ..reram.nonideal import CellIV, WireModel
 from ..reram.nonideal_engine import NonidealEngine
+from ..serving.demo import post_relu_network
 from .instrument import EngineMeter, time_callable
 
 BENCH_SCHEMA = "forms-perf-suite/v1"
@@ -249,39 +251,6 @@ def bench_mvm_sparse_irdrop(repeats: int = 3) -> Dict:
         engine=engine)
 
 
-def _post_relu_network(seed: int = 0):
-    """A FORMS-shaped small CNN: pruned filters, polarized weights.
-
-    Random weights stand in for training, but the *structure* is the real
-    post-pipeline one: crossbar-aware filter pruning (dead output channels
-    => silent downstream input fragments) followed by fragment
-    polarization, which is what makes whole-network activation blocks
-    sparse in exactly the way the scheduler exploits.
-    """
-    from ..core.pipeline import FORMSConfig
-    from ..core.polarization import compute_signs, project_polarization
-    from ..nn import (Conv2d, Flatten, Linear, ReLU, Sequential,
-                      compressible_layers, set_init_seed)
-    set_init_seed(seed)
-    model = Sequential(Conv2d(1, 8, 3, padding=1), ReLU(),
-                       Conv2d(8, 8, 3, padding=1), ReLU(),
-                       Flatten(), Linear(8 * 16 * 16, 10))
-    rng = np.random.default_rng(seed + 7)
-    for layer in (model._modules["0"], model._modules["2"]):
-        dead = rng.permutation(layer.weight.data.shape[0])[5:]
-        layer.weight.data[dead] = 0.0
-        if layer.bias is not None:
-            layer.bias.data[dead] = 0.0
-    config = FORMSConfig(fragment_size=_FRAGMENT)
-    for _, layer in compressible_layers(model):
-        geometry = config.geometry_for(layer)
-        weight = layer.weight.data.astype(np.float64)
-        layer.weight.data[...] = project_polarization(
-            weight, geometry, compute_signs(weight, geometry))
-    images = np.maximum(0.0, rng.normal(size=(8, 1, 16, 16)) - 0.8)
-    return model, config, images
-
-
 def bench_insitu_network(workers: int, repeats: int = 3,
                          tile_size: int = 2,
                          backend: Optional[str] = None) -> Dict:
@@ -300,7 +269,7 @@ def bench_insitu_network(workers: int, repeats: int = 3,
     from ..runtime import WorkerPool, infer_tiled, run_network_serial
     from ..nn import Tensor
 
-    model, config, images = _post_relu_network()
+    model, config, images = post_relu_network()
     device = ReRAMDevice(DeviceSpec(), 0.0)
     adc = ADCSpec(bits=paper_adc_bits(_FRAGMENT))
     sparse_net, sparse_engines = build_insitu_network(
@@ -487,40 +456,8 @@ def run_suite(smoke: bool = True, repeats: Optional[int] = None,
     }
 
 
-def write_payload(path, payload: Dict,
-                  preserve_kinds: tuple = ("serving", "chaos",
-                                           "cluster", "obs")) -> None:
-    """Write a BENCH payload, carrying over records of other subsystems.
-
-    ``run_suite`` regenerates only the *engine* records; records of the
-    kinds in ``preserve_kinds`` (the serving curves recorded by
-    ``benchmarks/bench_serving.py`` and friends, the chaos points of
-    ``benchmarks/bench_chaos.py``, the cluster kill/restart points of
-    ``benchmarks/bench_cluster.py``, the observability-overhead points of
-    ``benchmarks/bench_obs.py``) found in an existing file at ``path``
-    are appended unless the new payload already carries a record of the
-    same name — so the two recorders can share one ``BENCH_engine.json``
-    without clobbering each other.  An existing file that cannot be
-    parsed raises instead of being silently overwritten: it may hold the
-    only copy of the other recorder's trajectory.
-    """
-    previous = None
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                previous = json.load(handle)
-        except ValueError as exc:
-            raise ValueError(
-                f"{path} exists but is not valid JSON ({exc}); refusing to "
-                "overwrite it — it may hold records this run would drop"
-            ) from exc
-    if previous is not None and preserve_kinds:
-        have = {record["name"] for record in payload.get("records", [])}
-        payload = dict(payload)
-        payload["records"] = list(payload.get("records", [])) + [
-            record for record in previous.get("records", [])
-            if record.get("kind") in preserve_kinds
-            and record["name"] not in have]
+def write_payload(path, payload: Dict) -> None:
+    """Write a BENCH payload to ``path`` (engine records only)."""
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

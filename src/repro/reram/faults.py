@@ -37,8 +37,7 @@ This module supplies the *online* half for the serving stack:
 Because recovery restores the exact healthy code planes and conductance,
 every request served after (or retried across) a recovery is bit-identical
 to a fault-free serial forward — the serving stack's contract, proven in
-``tests/serving/test_fault_recovery.py`` and the chaos harness
-(``repro.perf.chaos``).
+``tests/serving/test_fault_recovery.py``.
 """
 
 from __future__ import annotations

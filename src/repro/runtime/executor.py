@@ -207,6 +207,21 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Process tier
     # ------------------------------------------------------------------
+    def start(self) -> "WorkerPool":
+        """Spawn the process workers now instead of inside the first ``map``.
+
+        A spawned worker is a fresh interpreter that imports the
+        simulator before it takes a task — about a second, which
+        otherwise lands on whoever maps first (for a server: its first
+        requests).  Returns once every worker has been launched and the
+        pool has answered one task per worker.  The other backends'
+        workers cost nothing to start, so this is a no-op there.
+        """
+        if self.backend == "process" and self.workers > 1:
+            # any picklable no-op does: the work is the spawn
+            self.map(abs, range(self.workers))
+        return self
+
     def _ensure_process_executor(self):
         if self._process_executor is None:
             from .process import make_process_executor

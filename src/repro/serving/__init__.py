@@ -84,13 +84,11 @@ Components
   :class:`~repro.reram.faults.FaultInjector`).  Retry-exhausted batches
   shed with :data:`SHED_FAULT_RECOVERY` receipts.
 
-``benchmarks/bench_serving.py`` records single-tenant open-loop Poisson
-curves, ``benchmarks/bench_multitenant.py`` the mixed-class
-multi-tenant contention scenario, and ``benchmarks/bench_http.py`` the
-same open-loop traffic through the HTTP front end (queue + transport
-end to end), all into ``BENCH_engine.json``; ``python -m repro serve``
-runs self-checking demos of either shape (``--http`` puts them on a
-socket).
+``python -m repro serve`` is the entry point: what it serves is decided
+in :mod:`repro.serving.demo` (not imported here — import it explicitly),
+which runs the self-checking in-process demo, the ``--http`` server and
+the ``--cluster`` router over one build.  Served latency and goodput are
+measured by ``benchmarks/e2e/run.py``.
 """
 
 from ..obs import Observability

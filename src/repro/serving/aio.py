@@ -46,8 +46,8 @@ background thread, :meth:`AsyncFrontend.start` /
 :meth:`AsyncFrontend.shutdown` (drain semantics: refuse new work,
 resolve or shed everything accepted, close the port), context-manager
 support, ``owns_server`` deciding whether shutdown drains the inference
-server too.  ``benchmarks/bench_async.py`` holds hundreds of concurrent
-connections against it and records ``serving_async_r*`` curves.
+server too.  The end-to-end benchmark's ``serve_async_stream`` workload
+(``benchmarks/e2e/``) measures it under streamed batches.
 """
 
 from __future__ import annotations

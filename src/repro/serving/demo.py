@@ -1,264 +1,185 @@
-"""Self-contained serving demos: synthetic traffic against small networks.
+"""What ``python -m repro serve`` serves: the demo build and its three modes.
 
-Backs both ``python -m repro serve`` and ``scripts/serve_demo.py`` in two
-shapes:
+The module owns one decision — which models the demo server carries —
+and the three ways to run them:
 
-* :func:`run_demo` — the single-model FIFO demo (the PR-3 path): drives
-  the shared Poisson harness (:func:`repro.perf.serving.drive_poisson`,
-  the same build/serve/verify path ``benchmarks/bench_serving.py``
-  records with) and prints per-request receipts plus the operational
-  snapshot;
-* :func:`run_multitenant_demo` — the two-model, two-class SLA demo:
-  drives :func:`repro.perf.multitenant.drive_mixed_traffic` (interactive
-  class with per-request deadlines on a small model, bulk class with a
-  latency bound on a heavier one, both on one shared pool), prints
-  per-class latency/shed summaries and the registry's die-reuse stats,
-  and additionally *proves* cross-model die dedup by registering a
-  replica tenant over identical weights and asserting cache hits;
-* :func:`run_chaos_demo` — the fault-recovery demo (``--chaos``): drives
-  :func:`repro.perf.chaos.drive_chaos` — scripted stuck-at faults
-  flipped onto live dies mid-traffic, checksum detection, quarantine +
-  online re-program through the shared die cache, bounded batch retry —
-  and prints the injected scenario, the recovery receipts and the
-  die-health summary; every completed request is asserted bit-identical
-  to the *pre-fault* serial forward and every future must resolve;
-* :func:`run_http_server` / :func:`run_http_demo` — the same demo
-  servers behind the :class:`~repro.serving.HttpFrontend` (``--http``):
-  either serve until interrupted (the curl-walkthrough mode of
-  ``docs/serving.md``) or replay ``requests`` self-checking requests
-  *over the wire* — concurrent client threads, mixed classes when
-  ``models=2``, every decoded response asserted bit-identical to the
-  in-process serial forward — then drain and exit (``--http-demo``, the
-  CI smoke);
-* :func:`run_cluster_server` / :func:`run_cluster_demo` — the same wire
-  protocol through a :class:`~repro.serving.cluster.ClusterRouter` over
-  N subprocess replicas (``--cluster N``): serve until interrupted, or
-  the self-checking failover smoke (``--http-demo``) that SIGKILLs and
-  restarts a replica mid-traffic and asserts bit-identity, documented
-  receipts and zero hung requests end to end.
+* :func:`post_relu_network`, :func:`tenant_models`, :func:`mixed_policy`
+  — the FORMS-shaped demo CNNs (pruned filters, polarized weights) and
+  the canonical two-class SLA policy.  ``repro.perf.suite`` and the
+  tests import them from here, so the dependency runs harness ->
+  product;
+* :func:`build_demo_server` — the idle demo
+  :class:`~repro.serving.InferenceServer` for ``models=1`` (one network,
+  FIFO) or ``models=2`` (the ``fast``/``batch`` tenant pair under
+  :func:`mixed_policy`); every cluster replica boots this build, which
+  is what makes replicas bit-identical;
+* :func:`run_demo` — the in-process demo: open-loop Poisson arrivals
+  against the build, every served output asserted bit-identical to the
+  serial single-image forward, then receipts, the per-class summary and
+  one request's span tree;
+* :func:`run_http_server` / :func:`run_cluster_server` — the two
+  serve-until-interrupted operator modes (``--http PORT``, ``--cluster
+  N``) behind the curl walkthrough of ``docs/serving.md``.
 
-Both demos are self-checking: every served output is asserted
-bit-identical to a direct single-image serial forward (per tenant) in
-the drivers before any summary is printed — the demos double as
-end-to-end smokes of the serving contract.
+Measurement lives elsewhere: ``benchmarks/e2e/run.py`` is the one
+benchmark, and it builds its own models.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+import time
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from ..core.pipeline import FORMSConfig
+from ..core.polarization import compute_signs, project_polarization
+from ..nn import (Conv2d, Flatten, Linear, ReLU, Sequential,
+                  compressible_layers, set_init_seed)
+from ..reram import ADCSpec, DeviceSpec, ReRAMDevice, paper_adc_bits
+from ..runtime import run_network_serial
+from .aio import AsyncFrontend
+from .client import HttpClient
+from .cluster import ClusterHarness, RoutingPolicy
+from .http import HttpFrontend
+from .registry import ModelRegistry
+from .scheduler import PriorityClass, RequestShed, SlaPolicy
+from .server import InferenceServer
+from .stats import ServedResult
 
-def run_demo(requests: int = 16, rate_rps: float = 200.0,
-             max_batch: int = 4, max_wait_ms: float = 2.0,
-             workers: Optional[int] = None, backend: Optional[str] = None,
-             seed: int = 0,
-             print_fn: Optional[Callable[[str], None]] = print) -> Dict:
-    """Serve ``requests`` Poisson arrivals and return the stats snapshot."""
-    from ..perf.serving import drive_poisson
+#: tenant and class names of the two-model demo
+INTERACTIVE = "interactive"
+BULK = "bulk"
+FAST_MODEL = "fast"
+BATCH_MODEL = "batch"
 
-    say = print_fn if print_fn is not None else (lambda line: None)
-    say(f"serving {requests} requests at ~{rate_rps:.0f} rps "
-        f"(max_batch={max_batch}, max_wait={max_wait_ms:.1f} ms)")
-    driven = drive_poisson(rate_rps, requests, max_batch=max_batch,
-                           max_wait_ms=max_wait_ms, workers=workers,
-                           backend=backend, seed=seed)
-    results, snapshot = driven["results"], driven["snapshot"]
-    say("bit-identity vs serial single-image forward: OK")
-
-    for served in results[: min(8, len(results))]:
-        s = served.stats
-        say(f"  request {s.request_id:3d}: batch {s.batch_id} "
-            f"(size {s.batch_size}), queue {s.queue_wait_s * 1e3:6.2f} ms, "
-            f"latency {s.latency_s * 1e3:6.2f} ms, "
-            f"{s.engine_stats['conversions']} conversions")
-    if len(results) > 8:
-        say(f"  ... {len(results) - 8} more")
-    say(f"batches formed: {snapshot['batches_formed']} "
-        f"(mean size {snapshot['mean_batch_size']:.2f}), "
-        f"p50 latency {snapshot['latency_p50_s'] * 1e3:.2f} ms, "
-        f"p95 {snapshot['latency_p95_s'] * 1e3:.2f} ms, "
-        f"occupancy {snapshot['occupancy']:.2f}, "
-        f"throughput {snapshot['throughput_rps']:.1f} rps")
-    return snapshot
+_FRAGMENT = 8
 
 
-def run_multitenant_demo(requests: int = 32, rate_rps: float = 400.0,
-                         deadline_ms: Optional[float] = 50.0,
-                         workers: Optional[int] = None,
-                         backend: Optional[str] = None, seed: int = 0,
-                         print_fn: Optional[Callable[[str], None]] = print
-                         ) -> Dict:
-    """Two tenants, two SLA classes, one pool — and prove the dedup.
+def _polarize(model, config) -> None:
+    """Project every compressible layer onto its fragment-polarized set."""
+    for _, layer in compressible_layers(model):
+        geometry = config.geometry_for(layer)
+        weight = layer.weight.data.astype(np.float64)
+        layer.weight.data[...] = project_polarization(
+            weight, geometry, compute_signs(weight, geometry))
 
-    Returns the server stats snapshot.  Raises if any served output
-    deviates from its tenant's serial single-image forward, or if the
-    replica-tenant registration fails to hit the shared die cache.
+
+def post_relu_network(seed: int = 0, *, init_seed: Optional[int] = None):
+    """A FORMS-shaped small CNN: pruned filters, polarized weights.
+
+    Random weights stand in for training, but the *structure* is the real
+    post-pipeline one: crossbar-aware filter pruning (dead output channels
+    => silent downstream input fragments) followed by fragment
+    polarization, which is what makes whole-network activation blocks
+    sparse in exactly the way the scheduler exploits.  Returns ``(model,
+    config, images)``; ``seed`` draws the pruning and the eight post-ReLU
+    images, ``init_seed`` (default: ``seed``) the initial weights.
     """
-    from ..perf.multitenant import (BATCH_MODEL, FAST_MODEL,
-                                    drive_mixed_traffic, tenant_models)
-    from ..reram import (ADCSpec, DeviceSpec, DieCache, ReRAMDevice,
-                         paper_adc_bits)
-    from ..serving import ModelRegistry
-
-    say = print_fn if print_fn is not None else (lambda line: None)
-    say(f"serving {requests} mixed-class requests at ~{rate_rps:.0f} rps "
-        f"(interactive deadline "
-        f"{'none' if deadline_ms is None else f'{deadline_ms:.0f} ms'}; "
-        f"models '{FAST_MODEL}' + '{BATCH_MODEL}' on one pool)")
-    driven = drive_mixed_traffic(rate_rps, requests, deadline_ms=deadline_ms,
-                                 workers=workers, backend=backend, seed=seed)
-    say("bit-identity vs per-tenant serial forwards: OK")
-
-    snapshot = driven["snapshot"]
-    for name, group in sorted(snapshot["per_class"].items()):
-        say(f"  class {name:12s} completed {group['completed']:3d}, "
-            f"shed {group['shed']:3d}, "
-            f"p50 {group['latency_p50_s'] * 1e3:7.2f} ms, "
-            f"p95 {group['latency_p95_s'] * 1e3:7.2f} ms")
-    for receipt in [r for r in driven["sheds"] if r is not None][:4]:
-        say(f"  shed request {receipt.request_id:3d}: {receipt.reason} "
-            f"({receipt.priority_class}) after "
-            f"{receipt.queue_wait_s * 1e3:.1f} ms")
-    cache = driven["registry"]["die_cache"]
-    say(f"die cache: {cache['hits']} hits / {cache['misses']} misses, "
-        f"{cache['unique_dies']} unique dies for "
-        f"{driven['registry']['engines_total']} engines")
-
-    # cross-model dedup, proven: a replica tenant over identical weights
-    # must program zero new dies
-    models, config, _ = tenant_models(seed=seed)
-    shared = DieCache()
-    device = ReRAMDevice(DeviceSpec(), 0.0)
-    adc = ADCSpec(bits=paper_adc_bits(config.fragment_size))
-    with ModelRegistry(workers=1, die_cache=shared) as registry:
-        registry.register(FAST_MODEL, models[FAST_MODEL], config, device,
-                          adc=adc, activation_bits=12)
-        misses_before = shared.misses
-        registry.register(f"{FAST_MODEL}-replica", models[FAST_MODEL],
-                          config, device, adc=adc, activation_bits=12)
-        stats = registry.stats()
-    if shared.misses != misses_before or stats["die_cache"]["hits"] == 0:
-        raise AssertionError("replica tenant re-programmed dies — "
-                             "cross-model dedup broken")
-    say(f"cross-model die dedup: replica tenant registered with "
-        f"{stats['die_cache']['hits']} cache hits, 0 new dies — OK")
-    return snapshot
+    set_init_seed(seed if init_seed is None else init_seed)
+    model = Sequential(Conv2d(1, 8, 3, padding=1), ReLU(),
+                       Conv2d(8, 8, 3, padding=1), ReLU(),
+                       Flatten(), Linear(8 * 16 * 16, 10))
+    rng = np.random.default_rng(seed + 7)
+    for layer in (model._modules["0"], model._modules["2"]):
+        dead = rng.permutation(layer.weight.data.shape[0])[5:]
+        layer.weight.data[dead] = 0.0
+        if layer.bias is not None:
+            layer.bias.data[dead] = 0.0
+    config = FORMSConfig(fragment_size=_FRAGMENT)
+    _polarize(model, config)
+    images = np.maximum(0.0, rng.normal(size=(8, 1, 16, 16)) - 0.8)
+    return model, config, images
 
 
-def run_chaos_demo(requests: int = 24, rate_rps: float = 400.0,
-                   workers: Optional[int] = None, seed: int = 0,
-                   print_fn: Optional[Callable[[str], None]] = print
-                   ) -> Dict:
-    """Break dies under live traffic and prove the recovery, end to end.
+def tenant_models(seed: int = 0):
+    """Two FORMS-shaped tenants with opposed serving profiles.
 
-    Returns the server stats snapshot.  The driver
-    (:func:`repro.perf.chaos.drive_chaos`) raises if any completed
-    request deviates from its tenant's pre-fault serial forward, any
-    future fails to resolve within the bounded wait, or any injected
-    stuck-at fault goes undetected or unrecovered.
+    ``fast`` is a one-conv CNN (the interactive tenant: cheap forward,
+    latency is all that matters); ``batch`` is :func:`post_relu_network`
+    at its own init seed (the bulk tenant: heavier forward, throughput
+    via coalescing).  Both are fragment-polarized on the same
+    :class:`~repro.core.pipeline.FORMSConfig` and share one 16x16 input
+    shape, so one image pool drives both.  Returns ``(models, config,
+    images)``.
     """
-    from ..perf.chaos import drive_chaos
-    from ..perf.multitenant import BATCH_MODEL, FAST_MODEL
-
-    say = print_fn if print_fn is not None else (lambda line: None)
-    say(f"chaos: serving {requests} mixed-class requests at "
-        f"~{rate_rps:.0f} rps while scripted die faults land on "
-        f"'{FAST_MODEL}' and '{BATCH_MODEL}'")
-    driven = drive_chaos(rate_rps, requests, workers=workers, seed=seed)
-
-    for entry in driven["injected"]:
-        if entry["kind"] == "stuck_at":
-            say(f"  dispatch {entry['dispatch']:3d}: stuck-at fault on "
-                f"die {entry['model']}/{entry['layer']} "
-                f"({entry['stuck_cells_total']} cells flipped)")
-        else:
-            say(f"  dispatch {entry['dispatch']:3d}: {entry['kind']} event")
-    snapshot = driven["snapshot"]
-    say(f"detected {snapshot['faults_detected']} faults, recovered "
-        f"{snapshot['fault_recoveries']} dies; "
-        f"{snapshot['requests_recovered']} requests rode a recovered "
-        f"batch to completion")
-    for result in driven["recovered"][:3]:
-        rec = result.stats.recovery
-        mitigation = next(iter(rec["mitigation"].values()), None)
-        reduction = (f", planner impact reduction "
-                     f"{mitigation['impact_reduction']:.0%}"
-                     if mitigation else "")
-        say(f"  receipt (request {result.stats.request_id:3d}): die "
-            f"{rec['model']}/{rec['layer']} quarantined -> re-programmed "
-            f"({'cache hit' if rec['reprogram']['via_die_cache'] else 'direct'}"
-            f"), batch retried x{rec['retries']}{reduction}")
-    counts = driven["health"]["counts"]
-    say(f"die health: {counts['healthy']} healthy, "
-        f"{counts['quarantined']} quarantined, "
-        f"{counts['reprogramming']} re-programming "
-        f"({driven['health']['recoveries']} lifetime recoveries)")
-    completed = sum(result is not None for result in driven["served"])
-    say(f"bit-identity of all {completed} completed requests vs pre-fault "
-        f"serial forwards: OK (zero hung futures)")
-    return snapshot
+    set_init_seed(seed)
+    fast = Sequential(Conv2d(1, 4, 3, padding=1), ReLU(),
+                      Flatten(), Linear(4 * 16 * 16, 10))
+    batch, config, images = post_relu_network(seed, init_seed=seed + 100)
+    _polarize(fast, config)
+    return {FAST_MODEL: fast, BATCH_MODEL: batch}, config, images
 
 
-# ---------------------------------------------------------------------------
-# HTTP front end over the demo servers
+def mixed_policy(*, interactive_max_batch: int = 2,
+                 interactive_max_wait_ms: float = 0.5,
+                 bulk_max_batch: int = 8, bulk_max_wait_ms: float = 4.0,
+                 bulk_shed_after_ms: Optional[float] = 150.0,
+                 mode: str = "strict",
+                 interactive_weight: float = 4.0, bulk_weight: float = 1.0):
+    """The canonical two-class policy of the two-model demo.
+
+    ``mode="weighted_fair"`` switches the cross-class arbitration to
+    deficit-round-robin over the class weights (interactive still gets
+    the lion's share via ``interactive_weight``, but bulk can no longer
+    be starved outright); the default keeps strict precedence.
+    """
+    return SlaPolicy((
+        PriorityClass(INTERACTIVE, max_batch=interactive_max_batch,
+                      max_wait_s=interactive_max_wait_ms / 1e3,
+                      weight=interactive_weight),
+        PriorityClass(BULK, max_batch=bulk_max_batch,
+                      max_wait_s=bulk_max_wait_ms / 1e3,
+                      shed_after_s=(bulk_shed_after_ms / 1e3
+                                    if bulk_shed_after_ms is not None
+                                    else None),
+                      weight=bulk_weight),
+    ), mode=mode)
+
+
 def build_demo_server(models: int = 1, *,
                       deadline_ms: Optional[float] = 50.0,
                       max_batch: int = 4, max_wait_ms: float = 2.0,
-                      workers: Optional[int] = None, seed: int = 0,
+                      workers: Optional[int] = None,
+                      backend: Optional[str] = None, seed: int = 0,
                       activation_bits: int = 12, die_cache=None,
                       obs=None, sla_mode: str = "strict"):
     """Stand up the demo :class:`~repro.serving.InferenceServer`, idle.
 
-    The traffic-free sibling of the drive functions: builds exactly the
-    network(s) the in-process demos serve — the perf suite's post-ReLU
-    CNN for ``models=1``, the ``fast``/``batch`` tenant pair under the
-    two-class SLA policy for ``models=2`` — and returns ``(server,
-    traffic)`` where ``traffic`` describes how to aim synthetic requests
-    at it: ``traffic["images"]`` is the demo image pool and
-    ``traffic["cases"]`` one ``(model, priority, deadline_ms)`` submit
-    template per class (a single entry of ``None``s for the FIFO shape).
-    The caller owns the server (``shutdown`` closes its registry/pool).
-    ``sla_mode`` picks the cross-class arbitration (``strict`` keeps the
-    historical precedence, ``weighted_fair`` switches to
-    deficit-round-robin over the class weights) — scheduling only, never
-    the bits.
+    Builds :func:`post_relu_network` for ``models=1`` or the
+    :func:`tenant_models` pair under :func:`mixed_policy` for
+    ``models=2`` and returns ``(server, traffic)``, where ``traffic``
+    describes how to aim synthetic requests at it: ``traffic["images"]``
+    is the demo image pool, ``traffic["cases"]`` one ``(model, priority,
+    deadline_ms)`` submit template per class (a single entry of
+    ``None``s for the FIFO shape) and ``traffic["interactive_fraction"]``
+    the share of requests that take ``cases[0]``.  The caller owns the
+    server (``shutdown`` closes its registry/pool).  ``sla_mode`` picks
+    the cross-class arbitration (``strict`` / ``weighted_fair``) —
+    scheduling only, never the bits.
     """
-    from ..reram import ADCSpec, DeviceSpec, ReRAMDevice, paper_adc_bits
-
     if models not in (1, 2):
         raise ValueError("the demo serves 1 or 2 models")
     device = ReRAMDevice(DeviceSpec(), 0.0)
+    adc = ADCSpec(bits=paper_adc_bits(_FRAGMENT))
     if models == 1:
-        from ..perf.suite import _post_relu_network
-        from .server import InferenceServer
-        model, config, images = _post_relu_network(seed=seed)
-        adc = ADCSpec(bits=paper_adc_bits(config.fragment_size))
+        model, config, images = post_relu_network(seed=seed)
         policy = None
         if sla_mode != "strict":
-            from .scheduler import PriorityClass, SlaPolicy
             policy = SlaPolicy((PriorityClass(
                 "default", max_batch=max_batch,
                 max_wait_s=max_wait_ms / 1e3),), mode=sla_mode)
         server = InferenceServer.from_model(
             model, config, device, adc=adc,
             activation_bits=activation_bits, max_batch=max_batch,
-            max_wait_s=max_wait_ms / 1e3, workers=workers,
+            max_wait_s=max_wait_ms / 1e3, workers=workers, backend=backend,
             die_cache=die_cache, obs=obs, policy=policy)
-        traffic = {"images": images,
-                   "cases": [(None, None, None)],
-                   "interactive_fraction": 1.0}
-        return server, traffic
-    from ..perf.multitenant import (BATCH_MODEL, BULK, FAST_MODEL,
-                                    INTERACTIVE, mixed_policy,
-                                    tenant_models)
-    from .registry import ModelRegistry
-    from .server import InferenceServer
+        return server, {"images": images, "cases": [(None, None, None)],
+                        "interactive_fraction": 1.0}
     tenants, config, images = tenant_models(seed=seed)
-    adc = ADCSpec(bits=paper_adc_bits(config.fragment_size))
-    registry = ModelRegistry(workers=workers, die_cache=die_cache)
+    registry = ModelRegistry(workers=workers, backend=backend,
+                             die_cache=die_cache)
     try:
         for name, model in tenants.items():
             registry.register(name, model, config, device, adc=adc,
@@ -270,261 +191,149 @@ def build_demo_server(models: int = 1, *,
         registry.close()
         raise
     server._owns_registry = True    # the demo's registry dies with the server
-    traffic = {"images": images,
-               "cases": [(FAST_MODEL, INTERACTIVE, deadline_ms),
-                         (BATCH_MODEL, BULK, None)],
-               "interactive_fraction": 0.4}
-    return server, traffic
+    return server, {"images": images,
+                    "cases": [(FAST_MODEL, INTERACTIVE, deadline_ms),
+                              (BATCH_MODEL, BULK, None)],
+                    "interactive_fraction": 0.4}
 
 
-def run_http_demo(requests: int = 16, rate_rps: float = 200.0,
-                  models: int = 1, *, host: str = "127.0.0.1", port: int = 0,
-                  deadline_ms: Optional[float] = 50.0,
-                  max_batch: int = 4, max_wait_ms: float = 2.0,
-                  workers: Optional[int] = None, seed: int = 0, obs=None,
-                  use_async: bool = False, sla_mode: str = "strict",
-                  print_fn: Optional[Callable[[str], None]] = print) -> Dict:
-    """Drive the demo server *over the wire* and verify every bit.
+def _span_lines(span: Dict, depth: int = 0) -> List[str]:
+    """One indented line per span of a ``/v1/trace`` tree."""
+    label = "  " * depth + span["name"]
+    lines = [f"    {label:<24s}{span['duration_s'] * 1e3:8.2f} ms"]
+    for child in span.get("children", ()):
+        lines.extend(_span_lines(child, depth + 1))
+    return lines
 
-    Replays ``requests`` open-loop Poisson arrivals as concurrent
-    ``POST /v1/infer`` calls (mixed classes and alternating JSON /
-    base64 encodings when ``models=2``), asserts every decoded response
-    bit-identical to the in-process serial single-image forward of its
-    tenant, prints the wire-side operational snapshot, then drains the
-    front end and confirms the port actually closed.  Returns the
-    ``/v1/stats`` snapshot.  Raises on any numeric deviation or any
-    failure other than an explicit shed receipt.
 
-    Doubles as the observability wire smoke: before the drain it scrapes
-    ``/metrics`` (and runs the strict Prometheus-text parser over it),
-    fetches ``/v1/usage`` (asserting the billed request/shed totals match
-    the wire outcomes) and replays one served request's span tree from
-    ``/v1/trace/<id>`` — skipped for the parts an explicit ``obs``
-    bundle disables.
+def run_demo(requests: int = 16, rate_rps: float = 200.0, models: int = 1, *,
+             print_fn: Optional[Callable[[str], None]] = print,
+             **build) -> Dict:
+    """Serve ``requests`` Poisson arrivals in process and check every bit.
 
-    ``use_async=True`` runs the same replay through the
-    :class:`~repro.serving.aio.AsyncFrontend` instead (identical wire
-    protocol — the plan, assertions and drain proof are unchanged) and
-    additionally exercises the SSE path: one
-    ``POST /v1/infer_batch?stream=1`` whose per-item ``result`` events
-    are asserted bit-identical to the serial forwards and whose billed
-    requests are included in the ``/v1/usage`` cross-check.
-    ``sla_mode`` selects the scheduler arbitration
-    (``strict`` / ``weighted_fair``).
+    Builds the demo server (``build`` goes to :func:`build_demo_server`),
+    submits open-loop arrivals at ``rate_rps`` — with ``models=2`` a mix
+    of interactive requests carrying the deadline and bulk ones — and
+    raises ``AssertionError`` unless every served output is bit-identical
+    to the serial single-image forward of its model.  Prints the first
+    receipts (served or shed), the per-class summary and one served
+    request's span tree; returns the server stats snapshot.
     """
-    from ..obs import parse_prometheus_text
-    from ..perf.http import replay_http_open_loop
-    from ..perf.serving import poisson_arrival_offsets
-    from ..runtime import run_network_serial
-    from .client import HttpClient, WireResult
-    from .http import HttpFrontend
-
     say = print_fn if print_fn is not None else (lambda line: None)
-    server, traffic = build_demo_server(models, deadline_ms=deadline_ms,
-                                        max_batch=max_batch,
-                                        max_wait_ms=max_wait_ms,
-                                        workers=workers, seed=seed, obs=obs,
-                                        sla_mode=sla_mode)
+    server, traffic = build_demo_server(models, **build)
     images, cases = traffic["images"], traffic["cases"]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(build.get("seed", 0))
     image_idx = rng.integers(0, images.shape[0], size=requests)
     interactive = rng.random(requests) < traffic["interactive_fraction"]
-    arrival_offsets = poisson_arrival_offsets(rng, rate_rps, requests)
-
-    plan: List[Tuple[np.ndarray, Dict]] = []
-    assignments: List[Tuple[Optional[str], int]] = []
-    for i in range(requests):
-        model, priority, deadline = cases[0 if interactive[i] else -1]
-        kwargs: Dict = {"binary": bool(i % 2)}   # exercise both encodings
-        if model is not None:
-            kwargs.update(model=model, priority=priority)
-            if deadline is not None:
-                kwargs["deadline_ms"] = deadline
-        plan.append((images[image_idx[i]], kwargs))
-        assignments.append((model, int(image_idx[i])))
-
+    arrivals = np.cumsum(rng.exponential(1.0 / rate_rps, size=requests))
     with server:
-        if use_async:
-            from .aio import AsyncFrontend
-            frontend = AsyncFrontend(server, host=host, port=port,
-                                     owns_server=True).start()
-        else:
-            frontend = HttpFrontend(server, host=host, port=port,
-                                    owns_server=True).start()
-        client = HttpClient.for_frontend(frontend)
-        say(f"{'asyncio' if use_async else 'http'} front end on "
-            f"{frontend.url} — replaying {requests} "
-            f"requests at ~{rate_rps:.0f} rps over the wire "
-            f"({models} model(s), sla_mode={sla_mode}, "
-            f"health: {client.healthz()['status']})")
-        outcomes, open_loop_s = replay_http_open_loop(client, plan,
-                                                      arrival_offsets)
-        # the SSE exercise: stream a small batch and keep the events —
-        # bit-identity is checked against the serial refs further down,
-        # and the streamed requests are billed into /v1/usage like any
-        # other, so the totals cross-check below covers them too
-        stream_events: List[Tuple[str, Dict]] = []
-        stream_model = cases[0][0]
-        if use_async:
-            stream_kwargs: Dict = {}
-            if stream_model is not None:
-                stream_kwargs.update(model=stream_model,
-                                     priority=cases[0][1])
-            stream_idx = [int(i) for i in image_idx[:3]]
-            stream_events = list(client.infer_batch_stream(
-                [images[i] for i in stream_idx], binary=True,
-                **stream_kwargs))
-        snapshot = client.stats()
-        # observability wire smoke, while the socket is still up: the
-        # exposition must survive the strict parser, and one served
-        # request's span tree must come back from the trace ring
-        exposition = (parse_prometheus_text(client.metrics())
-                      if server.obs.metrics.enabled else None)
-        usage = client.usage()
-        traced = None
-        if server.obs.tracing:
-            for outcome in outcomes:
-                if outcome["error"] is None:
-                    tid = outcome["result"].stats.get("trace_id")
-                    if tid:
-                        traced = (tid, client.trace(tid))
-                        break
-        # serial references while the networks are still reachable
-        names = {model for model, _ in assignments}
-        if use_async:
-            names.add(stream_model)
+        say(f"serving {requests} requests at ~{rate_rps:.0f} rps to "
+            f"{server.registry.names()} on {server.pool.workers} "
+            f"{server.pool.backend} worker(s)")
+        start = time.monotonic()
+        futures = []
+        for i in range(requests):
+            delay = start + arrivals[i] - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+            model, priority, deadline = cases[0 if interactive[i] else -1]
+            futures.append((model, server.submit_async(
+                images[image_idx[i]], model=model, priority=priority,
+                deadline_s=deadline / 1e3 if deadline else None)))
+        outcomes = []
+        for model, future in futures:
+            try:
+                outcomes.append(future.result())
+            except RequestShed as exc:
+                outcomes.append(exc.receipt)
+        snapshot = server.server_stats()
         serial = {model: run_network_serial(
                       server.registry.get(model).network, images, tile_size=1)
-                  for model in names}
-        frontend.shutdown()
+                  for model, _, _ in cases}
+        served = [o for o in outcomes if isinstance(o, ServedResult)]
+        trace = server.trace(served[0].stats.trace_id) if served else None
 
-    served = shed = 0
-    for i, outcome in enumerate(outcomes):
-        model, img = assignments[i]
-        if outcome["error"] is not None:
-            # only an explicit shed receipt is an acceptable outcome;
-            # transport-level exceptions carry no .code and must fail
-            if getattr(outcome["error"], "code", None) != "shed":
-                raise AssertionError(
-                    f"request {i} failed over the wire: {outcome['error']}")
-            shed += 1
-            continue
-        served += 1
-        if not np.array_equal(outcome["result"].output, serial[model][img]):
+    for i, ((model, _), outcome) in enumerate(zip(futures, outcomes)):
+        if isinstance(outcome, ServedResult) and not np.array_equal(
+                outcome.output, serial[model][image_idx[i]]):
             raise AssertionError(
-                f"request {i} ({model or 'default'}): decoded HTTP output "
-                "!= in-process serial forward")
-    say(f"bit-identity of all {served} served responses vs in-process "
-        f"serial forwards: OK ({shed} shed with receipts)")
-    stream_served = stream_shed = 0
-    if use_async:
-        if not stream_events or stream_events[-1][0] != "done":
-            raise AssertionError("SSE stream did not end with a 'done' "
-                                 f"event: {[e for e, _ in stream_events]}")
-        for event, data in stream_events[:-1]:
-            if event == "shed":
-                stream_shed += 1
-                continue
-            if event != "result":
-                raise AssertionError(f"unexpected SSE event {event!r}")
-            stream_served += 1
-            decoded = WireResult.from_body(data)
-            ref = serial[stream_model][stream_idx[data["index"]]]
-            if not np.array_equal(decoded.output, ref):
-                raise AssertionError(
-                    f"SSE item {data['index']}: streamed output != "
-                    "in-process serial forward")
-        done = stream_events[-1][1]
-        if (done["completed"], done["shed"]) != (stream_served, stream_shed):
-            raise AssertionError(
-                f"SSE 'done' claimed {done}; the stream carried "
-                f"{stream_served} results / {stream_shed} sheds")
-        say(f"SSE stream: {stream_served} result events bit-identical, "
-            f"{stream_shed} shed, terminal 'done' consistent — OK")
-        served += stream_served
-        shed += stream_shed
-    totals = usage["totals"]
-    if (totals["requests"], totals["sheds"]) != (served, shed):
-        raise AssertionError(
-            f"/v1/usage billed {totals['requests']} requests / "
-            f"{totals['sheds']} sheds; the wire saw {served} / {shed}")
-    obs_bits = [f"/v1/usage billed {totals['requests']} requests, "
-                f"{totals['macs']} macs"]
-    if exposition is not None:
-        obs_bits.insert(0, f"/metrics parsed clean "
-                           f"({len(exposition)} families)")
-    if traced is not None:
-        tid, record = traced
-        root = record["spans"][0]
-        obs_bits.append(f"/v1/trace/{tid[:8]}… returned a "
-                        f"{root['name']!r} span with "
-                        f"{len(root.get('children', []))} children")
-    say(f"observability: {'; '.join(obs_bits)} — OK")
-    say(f"wire snapshot: p50 {snapshot['latency_p50_s'] * 1e3:.2f} ms, "
-        f"p95 {snapshot['latency_p95_s'] * 1e3:.2f} ms, "
-        f"mean batch {snapshot['mean_batch_size']:.2f}, "
-        f"occupancy {snapshot['occupancy']:.2f}, "
-        f"{requests / open_loop_s:.1f} rps over the wire")
-    for name, group in sorted(snapshot.get("per_class", {}).items()):
-        say(f"  class {name:12s} completed {group['completed']:3d}, "
+                f"request {i} ({model or 'default'}): served output != "
+                "serial single-image forward")
+    say(f"bit-identity of {len(served)} served outputs vs serial "
+        f"single-image forwards: OK ({requests - len(served)} shed)")
+    for outcome in outcomes[:8]:
+        if isinstance(outcome, ServedResult):
+            s = outcome.stats
+            say(f"  request {s.request_id:3d}: batch {s.batch_id} "
+                f"(size {s.batch_size}), queue {s.queue_wait_s * 1e3:6.2f} "
+                f"ms, latency {s.latency_s * 1e3:6.2f} ms, "
+                f"{s.engine_stats['conversions']} conversions")
+        else:
+            say(f"  request {outcome.request_id:3d}: shed, {outcome.reason} "
+                f"({outcome.priority_class}) after "
+                f"{outcome.queue_wait_s * 1e3:.1f} ms")
+    if requests > 8:
+        say(f"  ... {requests - 8} more")
+    for name, group in sorted(snapshot["per_class"].items()):
+        say(f"class {name:12s} completed {group['completed']:3d}, "
             f"shed {group['shed']:3d}, "
+            f"p50 {group['latency_p50_s'] * 1e3:7.2f} ms, "
             f"p95 {group['latency_p95_s'] * 1e3:7.2f} ms")
-    # the drain proof: the socket must actually be gone
-    try:
-        client.healthz()
-    except OSError:
-        say("drain: port closed, all handlers finished — OK")
-    else:
-        raise AssertionError("front end still answering after shutdown")
+    say(f"batches formed: {snapshot['batches_formed']} "
+        f"(mean size {snapshot['mean_batch_size']:.2f}), "
+        f"occupancy {snapshot['occupancy']:.2f}, "
+        f"throughput {snapshot['throughput_rps']:.1f} rps")
+    if trace is not None:
+        say(f"trace {trace['trace_id']} (request {trace['request_id']}):")
+        for line in _span_lines(trace["spans"][0]):
+            say(line)
     return snapshot
 
 
+def _serve_until_stopped(stop: Optional[threading.Event],
+                         say: Callable[[str], None]) -> None:
+    """Block until Ctrl-C or ``stop`` (the test hook) is set."""
+    stop = stop if stop is not None else threading.Event()
+    try:
+        while not stop.wait(0.2):
+            pass
+    except KeyboardInterrupt:
+        say("interrupt: draining")
+
+
 def run_http_server(models: int = 1, *, host: str = "127.0.0.1",
-                    port: int = 8100,
-                    deadline_ms: Optional[float] = 50.0,
-                    max_batch: int = 4, max_wait_ms: float = 2.0,
-                    workers: Optional[int] = None, seed: int = 0, obs=None,
-                    use_async: bool = False, sla_mode: str = "strict",
+                    port: int = 8100, use_async: bool = False,
                     print_fn: Optional[Callable[[str], None]] = print,
                     ready: Optional[Callable] = None,
-                    stop: Optional[threading.Event] = None) -> Dict:
+                    stop: Optional[threading.Event] = None,
+                    **build) -> Dict:
     """Serve the demo model(s) over HTTP until interrupted.
 
     The operator mode behind ``python -m repro serve --http PORT``: binds
     the front end (the threaded :class:`~repro.serving.HttpFrontend`, or
     the asyncio :class:`~repro.serving.aio.AsyncFrontend` with
-    ``use_async=True`` — same wire protocol plus SSE streaming), prints
-    the curl lines of the ``docs/serving.md`` walkthrough, and blocks
-    until Ctrl-C (or ``stop`` is set — the test hook; ``ready`` receives
-    the live frontend once bound).  Draining shutdown on the way out;
+    ``use_async=True`` — same wire protocol plus SSE streaming) over
+    :func:`build_demo_server` (which takes ``build``), prints the curl
+    lines of the ``docs/serving.md`` walkthrough, and blocks until
+    Ctrl-C (or ``stop`` is set — the test hook; ``ready`` receives the
+    live frontend once bound).  Draining shutdown on the way out;
     returns the final stats snapshot.
     """
-    from .http import HttpFrontend
-
     say = print_fn if print_fn is not None else (lambda line: None)
-    server, traffic = build_demo_server(models, deadline_ms=deadline_ms,
-                                        max_batch=max_batch,
-                                        max_wait_ms=max_wait_ms,
-                                        workers=workers, seed=seed, obs=obs,
-                                        sla_mode=sla_mode)
-    stop = stop if stop is not None else threading.Event()
+    server, traffic = build_demo_server(models, **build)
     with server:
-        if use_async:
-            from .aio import AsyncFrontend
-            frontend = AsyncFrontend(server, host=host, port=port,
-                                     owns_server=True, log=say).start()
-        else:
-            frontend = HttpFrontend(server, host=host, port=port,
-                                    owns_server=True, log=say).start()
+        shell = AsyncFrontend if use_async else HttpFrontend
+        frontend = shell(server, host=host, port=port, owns_server=True,
+                         log=say).start()
         shape = list(traffic["images"].shape[1:])
         say(f"serving {server.registry.names()} on {frontend.url} "
             f"({'asyncio' if use_async else 'threaded'} front end, "
-            f"sla_mode={sla_mode}, request shape {shape}; "
+            f"sla_mode={server.policy.mode}, request shape {shape}; "
             f"Ctrl-C drains and exits)")
         say("try:")
         say(f"  curl -s {frontend.url}/healthz")
         say(f"  curl -s {frontend.url}/v1/models")
-        model, priority, deadline = traffic["cases"][0]
+        model, priority, _ = traffic["cases"][0]
         envelope = "\\\"input\\\": [[...]]" if model is None else (
             f"\\\"model\\\": \\\"{model}\\\", \\\"priority\\\": "
             f"\\\"{priority}\\\", \\\"input\\\": [[...]]")
@@ -541,11 +350,7 @@ def run_http_server(models: int = 1, *, host: str = "127.0.0.1",
         say(f"  curl -s {frontend.url}/v1/usage")
         if ready is not None:
             ready(frontend)
-        try:
-            while not stop.wait(0.2):
-                pass
-        except KeyboardInterrupt:
-            say("interrupt: draining")
+        _serve_until_stopped(stop, say)
         frontend.shutdown()
         # snapshot after the drain so requests served during it count
         snapshot = server.server_stats()
@@ -571,11 +376,7 @@ def run_cluster_server(replicas: int = 2, *, host: str = "127.0.0.1",
     ``stop`` — the test hook; ``ready`` receives the live harness).
     Returns the final ``/v1/cluster`` snapshot.
     """
-    from .client import HttpClient
-    from .cluster import ClusterHarness, RoutingPolicy
-
     say = print_fn if print_fn is not None else (lambda line: None)
-    stop = stop if stop is not None else threading.Event()
     policy = RoutingPolicy(hedge_delay_s=hedge_delay_s)
     with ClusterHarness(replicas, seed=seed, workers=workers,
                         replication=replication, policy=policy,
@@ -591,115 +392,12 @@ def run_cluster_server(replicas: int = 2, *, host: str = "127.0.0.1",
         say(f"  curl -s {router.url}/v1/cluster")
         say(f"  curl -s -X POST {router.url}/v1/infer "
             f"-H 'Content-Type: application/json' "
-            f"-d '{{\"model\": \"fast\", \"priority\": \"interactive\", "
-            f"\"input\": [[...]]}}'")
+            f"-d '{{\"model\": \"{FAST_MODEL}\", \"priority\": "
+            f"\"{INTERACTIVE}\", \"input\": [[...]]}}'")
         if ready is not None:
             ready(harness)
-        try:
-            while not stop.wait(0.2):
-                pass
-        except KeyboardInterrupt:
-            say("interrupt: draining")
+        _serve_until_stopped(stop, say)
         client = HttpClient(router.host, router.port)
         _, snapshot = client.request("GET", "/v1/cluster")
     say("drained; router and replicas closed")
     return snapshot
-
-
-def run_cluster_demo(requests: int = 16, rate_rps: float = 200.0,
-                     replicas: int = 2, *, workers: int = 1, seed: int = 0,
-                     replication: int = 2,
-                     hedge_delay_s: Optional[float] = None,
-                     print_fn: Optional[Callable[[str], None]] = print
-                     ) -> Dict:
-    """Kill a replica under live routed traffic and prove the failover.
-
-    The self-checking cluster smoke behind ``--cluster N --http 0
-    --http-demo``: drives :func:`repro.perf.cluster.drive_cluster_chaos`
-    — open-loop Poisson ``POST /v1/infer`` arrivals through the router
-    while the interactive tenant's primary replica is SIGKILLed and
-    restarted mid-run — and prints the failover accounting.  The driver
-    raises if any completed response deviates from the parent's serial
-    single-image forward, any request hangs, any failure is not a
-    documented receipt, or the killed replica fails to rejoin.  Returns
-    the final ``/v1/cluster`` snapshot.
-    """
-    from ..perf.cluster import drive_cluster_chaos
-
-    say = print_fn if print_fn is not None else (lambda line: None)
-    say(f"cluster chaos: {requests} requests at ~{rate_rps:.0f} rps "
-        f"through a router over {replicas} replica(s), SIGKILL + restart "
-        f"mid-traffic")
-    driven = drive_cluster_chaos(rate_rps, requests, replicas=replicas,
-                                 replication=replication,
-                                 hedge_delay_s=hedge_delay_s,
-                                 workers=workers, seed=seed)
-    for entry in driven["kill_log"]:
-        say(f"  t={entry['at_s'] * 1e3:7.1f} ms: {entry['action']} "
-            f"{entry['replica']}")
-    router = driven["cluster"]["router"]
-    counts = driven["cluster"]["directory"]["counts"]
-    say(f"completed {driven['completed']}/{requests} "
-        f"(receipts: {driven['shed_codes'] or 'none'}); "
-        f"{router['failovers']} failovers, "
-        f"{router['hedges_fired']} hedges fired "
-        f"({router['hedges_won']} won), "
-        f"{router['unavailable']} unavailable receipts")
-    say(f"replicas after restart: {counts['up']} up, "
-        f"{counts['suspect']} suspect, {counts['down']} down")
-    say(f"bit-identity of all {driven['completed']} completed responses "
-        f"vs serial forwards: OK (zero hung requests; trace ids echoed)")
-    return driven["cluster"]
-
-
-def run_http_cli(args) -> int:
-    """The shared ``--http`` dispatch of ``python -m repro serve`` and
-    ``scripts/serve_demo.py`` (one copy, so the two entry points cannot
-    drift): resolves the deadline, coerces the model count, prints the
-    FIFO-knobs note for the SLA shape, and runs either the self-checking
-    wire demo (``--http-demo``) or the serve-until-interrupted server —
-    single-process by default, the replica cluster with ``--cluster N``.
-    """
-    from ..obs import Observability
-
-    cluster = getattr(args, "cluster", None)
-    if cluster is not None:
-        hedge = (args.hedge_ms / 1e3 if getattr(args, "hedge_ms", None)
-                 is not None else None)
-        knobs = dict(replicas=cluster,
-                     workers=(args.workers if args.workers is not None
-                              else 1),
-                     seed=args.seed,
-                     replication=getattr(args, "cluster_replication", 2),
-                     hedge_delay_s=hedge)
-        if args.http_demo:
-            run_cluster_demo(requests=args.requests, rate_rps=args.rate,
-                             **knobs)
-        else:
-            run_cluster_server(host=args.http_host, port=args.http, **knobs)
-        return 0
-    deadline = (args.deadline_ms if args.deadline_ms is not None
-                and args.deadline_ms > 0 else None)
-    classes = (args.priority_classes if args.priority_classes is not None
-               else args.models)
-    models = 2 if (args.models > 1 or classes > 1) else 1
-    if models > 1 and (args.max_batch, args.max_wait_ms) != (4, 2.0):
-        print("note: --max-batch/--max-wait-ms are FIFO knobs; the SLA "
-              "demo's classes carry their own coalescing budgets "
-              "(ignored here)")
-    # --no-metrics / --trace-ring shape the single-process server's
-    # Observability bundle (the cluster's subprocess replicas boot their
-    # own defaults — the flags do not reach across the fork)
-    obs = Observability(metrics=not getattr(args, "no_metrics", False),
-                        trace_ring=getattr(args, "trace_ring", 256))
-    knobs = dict(models=models, host=args.http_host, port=args.http,
-                 deadline_ms=deadline, max_batch=args.max_batch,
-                 max_wait_ms=args.max_wait_ms, workers=args.workers,
-                 seed=args.seed, obs=obs,
-                 use_async=getattr(args, "use_async", False),
-                 sla_mode=getattr(args, "sla_mode", "strict"))
-    if args.http_demo:
-        run_http_demo(requests=args.requests, rate_rps=args.rate, **knobs)
-    else:
-        run_http_server(**knobs)
-    return 0

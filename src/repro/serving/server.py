@@ -166,14 +166,20 @@ class InferenceServer:
         else:
             self.registry = registry
             self._owns_registry = False
-        if detect_faults and getattr(self.registry.pool, "backend",
-                                     "thread") == "process":
-            if self._owns_registry:
-                self.registry.close()
-            raise ValueError(
-                "detect_faults=True requires a thread-backend pool: die "
-                "guards instrument live engine objects and are not shipped "
-                "to process-backend workers (use backend='thread')")
+        if getattr(self.registry.pool, "backend", "thread") == "process":
+            if detect_faults:
+                if self._owns_registry:
+                    self.registry.close()
+                raise ValueError(
+                    "detect_faults=True requires a thread-backend pool: die "
+                    "guards instrument live engine objects and are not "
+                    "shipped to process-backend workers (use "
+                    "backend='thread')")
+            # worker spawn costs about a second: pay it here (before the
+            # stats clock starts), not inside the first dispatch, where it
+            # is charged to the first requests and sheds what queued
+            # behind them
+            self.registry.pool.start()
         self.policy = (policy if policy is not None
                        else SlaPolicy.fifo(max_batch=max_batch,
                                            max_wait_s=max_wait_s))

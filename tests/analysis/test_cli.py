@@ -63,3 +63,29 @@ class TestAblationCommands:
         target = tmp_path / "nested" / "dir"
         assert run(["table3", "--out", str(target)]) == 0
         assert (target / "table3.txt").exists()
+
+
+class TestServe:
+    """``python -m repro serve`` in process: the one serving entry point."""
+
+    def test_single_model_demo_checks_every_bit(self, capsys):
+        assert run(["serve", "--requests", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "bit-identity of 4 served outputs" in out
+        assert "trace " in out          # one request's span tree
+
+    def test_two_model_demo_without_deadline(self, capsys):
+        assert run(["serve", "--models", "2", "--requests", "6",
+                    "--deadline-ms", "0"]) == 0
+        out = capsys.readouterr().out
+        # no count here: bulk requests may be shed on a loaded host
+        assert "served outputs vs serial single-image forwards: OK" in out
+        assert "class bulk" in out and "class interactive" in out
+
+    @pytest.mark.parametrize("flags", (["--chaos"], ["--http-demo"],
+                                       ["--priority-classes", "2"]))
+    def test_removed_flags_are_parser_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["serve"] + flags)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

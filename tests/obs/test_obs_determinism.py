@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.obs import Observability
-from repro.perf.suite import _post_relu_network
+from repro.serving.demo import post_relu_network as _post_relu_network
 from repro.reram import (ADCSpec, DeviceSpec, DieCache, ReRAMDevice,
                          paper_adc_bits)
 from repro.reram.nonideal import ReadNoise

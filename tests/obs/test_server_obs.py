@@ -16,7 +16,7 @@ import pytest
 
 from repro.nn.tensor import Tensor
 from repro.obs import Observability, parse_prometheus_text
-from repro.perf.suite import _post_relu_network
+from repro.serving.demo import post_relu_network as _post_relu_network
 from repro.reram import ADCSpec, DeviceSpec, ReRAMDevice, paper_adc_bits
 from repro.serving import (SHED_DEADLINE, InferenceServer, ModelRegistry,
                            PriorityClass, RequestShed, SlaPolicy)

@@ -1,26 +1,16 @@
-"""BENCH_engine.json schema: backend metadata merges, nothing clobbered.
+"""BENCH_engine.json schema: the backend metadata of an engine-suite run.
 
-``run_suite`` gained a ``backend`` host field (plus per-record backend
-meta on the multi-worker benches and a ``parallelism_note`` on
-single-core hosts).  These tests pin the merge contract: the new fields
-ride along without disturbing ``write_payload``'s kind-preservation —
-records of every non-engine kind recorded by the other benchmark
-drivers (serving, chaos, cluster, obs) survive an engine-suite
-re-record.
+``run_suite`` records which ``repro.runtime`` backend produced its
+multi-worker points — a ``backend`` host field, per-record backend meta
+on the multi-worker benches, and a ``parallelism_note`` on single-core
+hosts only.
 """
 
-import json
 import os
 
 import pytest
 
-from repro.perf.suite import bench_insitu_network, run_suite, write_payload
-
-#: every record kind the shared BENCH file carries today
-ALL_KINDS = ("paired", "single", "table", "serving", "chaos", "cluster",
-             "obs")
-#: the kinds owned by other recorders, which an engine re-record must keep
-PRESERVED_KINDS = ("serving", "chaos", "cluster", "obs")
+from repro.perf.suite import bench_insitu_network, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -41,35 +31,3 @@ def test_network_bench_meta_carries_backend():
     record = bench_insitu_network(2, repeats=1, backend="process")
     assert record["meta"]["backend"] == "process"
     assert record["meta"]["workers"] == 2
-
-
-def test_backend_field_merges_without_clobbering_kinds(tmp_path,
-                                                       smoke_payload):
-    path = tmp_path / "BENCH_engine.json"
-    previous = {
-        "mode": "full",
-        "host": {"numpy": "0", "python": "0"},    # no backend field yet
-        "records": [{"name": f"old_{kind}", "kind": kind, "fused": {}}
-                    for kind in ALL_KINDS],
-        "criteria": {"pass": True},
-    }
-    path.write_text(json.dumps(previous))
-
-    write_payload(path, smoke_payload)
-    merged = json.loads(path.read_text())
-
-    names = {record["name"] for record in merged["records"]}
-    for kind in PRESERVED_KINDS:
-        assert f"old_{kind}" in names, f"{kind} records were clobbered"
-    # engine-owned kinds are regenerated, not carried over
-    for kind in ("paired", "single", "table"):
-        assert f"old_{kind}" not in names
-    # the new host field landed, and the regenerated records kept their
-    # schema (every engine record still names its kind)
-    assert merged["host"]["backend"] == "process"
-    assert all("kind" in record for record in merged["records"])
-    # the multi-worker insitu records carry the backend in their meta
-    insitu = [record for record in merged["records"]
-              if record["name"].startswith("insitu_network_batch8_w")]
-    assert insitu
-    assert all(record["meta"]["backend"] == "process" for record in insitu)

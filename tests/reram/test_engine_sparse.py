@@ -341,7 +341,8 @@ class TestKernelBudgetKnob:
 
     def test_config_field_reaches_engines(self):
         from repro.core import FORMSConfig
-        from repro.perf.suite import _post_relu_network
+        from repro.serving.demo import \
+            post_relu_network as _post_relu_network
         from repro.reram.inference import build_insitu_network
         model, config, _ = _post_relu_network()
         config.fused_kernel_max_elements = 4321

@@ -19,7 +19,7 @@ end, not just the ideal-arithmetic path.
 import numpy as np
 import pytest
 
-from repro.perf.suite import _post_relu_network
+from repro.serving.demo import post_relu_network as _post_relu_network
 from repro.reram import (ADCSpec, DeviceSpec, DieCache, ReRAMDevice,
                          paper_adc_bits)
 from repro.reram.inference import build_insitu_network

@@ -9,7 +9,7 @@ against the cycle-by-cycle reference loop; with and without read noise.
 import numpy as np
 import pytest
 
-from repro.perf.suite import _post_relu_network
+from repro.serving.demo import post_relu_network as _post_relu_network
 from repro.reram import ADCSpec, DeviceSpec, ReRAMDevice, paper_adc_bits
 from repro.reram.inference import build_insitu_network
 from repro.reram.nonideal import ReadNoise

@@ -84,6 +84,16 @@ class TestBackendResolution:
         assert set(pids) == {os.getpid()}
 
 
+    def test_start_spawns_the_workers_before_the_first_map(self):
+        with WorkerPool(2, backend="process") as pool:
+            assert pool._process_executor is None     # lazy by default
+            assert pool.start() is pool
+            assert len(pool._process_executor._processes) == 2
+        with WorkerPool(2, backend="thread") as pool:
+            assert pool.start() is pool               # nothing to spawn
+            assert pool._process_executor is None
+
+
 class TestProcessMapContract:
     def test_ordered_results_across_workers(self, process_pool):
         items = list(range(16))

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.nn.tensor import Tensor
-from repro.perf.suite import _post_relu_network
+from repro.serving.demo import post_relu_network as _post_relu_network
 from repro.reram import ADCSpec, DeviceSpec, ReRAMDevice, paper_adc_bits
 from repro.reram.nonideal import ReadNoise
 from repro.reram.nonideal_engine import NonidealEngine

@@ -16,12 +16,15 @@ import time
 import numpy as np
 import pytest
 
-from repro.perf.suite import _post_relu_network
-from repro.reram import ADCSpec, DeviceSpec, ReRAMDevice, paper_adc_bits
-from repro.reram.faults import FaultEvent, FaultInjector
+from repro.serving.demo import post_relu_network as _post_relu_network
+from repro.reram import (ADCSpec, DeviceSpec, DieCache, ReRAMDevice,
+                         paper_adc_bits)
+from repro.reram.faults import (FaultEvent, FaultInjector,
+                                InjectedDispatchError)
 from repro.runtime import run_network_serial
 from repro.serving import (DIE_HEALTHY, DIE_QUARANTINED, InferenceServer,
-                           RequestShed, SHED_FAULT_RECOVERY)
+                           ModelRegistry, RequestShed, SHED_FAULT_RECOVERY)
+from repro.serving.demo import mixed_policy, tenant_models
 
 RESULT_TIMEOUT_S = 30.0   # bounded waits: a timeout IS a hung future
 
@@ -149,6 +152,70 @@ class TestRecoveryEndToEnd:
     def test_validation(self, network_case):
         with pytest.raises(ValueError):
             make_server(network_case, max_fault_retries=-1)
+
+
+class TestTwoTenantChaos:
+    def test_scripted_faults_on_both_tenants_and_a_crashed_dispatch(self):
+        """Both tenants on one registry and one shared die cache lose a
+        die mid-burst, one dispatch stalls and one crashes: every
+        completed request equals the *pre-fault* serial forward, every
+        flipped die is detected and recovered, only the crashed batch
+        fails, and every future resolves."""
+        models, config, images = tenant_models(seed=0)
+        device = ReRAMDevice(DeviceSpec(), 0.0)
+        adc = ADCSpec(bits=paper_adc_bits(config.fragment_size))
+        registry = ModelRegistry(workers=2, die_cache=DieCache())
+        for name, model in models.items():
+            registry.register(name, model, config, device, adc=adc,
+                              activation_bits=12)
+        # the oracle, taken before any fault exists
+        serial = {name: run_network_serial(registry.get(name).network,
+                                           images, tile_size=1)
+                  for name in models}
+        injector = FaultInjector([
+            stuck_at(at_dispatch=1, model="batch"),
+            FaultEvent("delay", at_dispatch=2, delay_s=0.002),
+            stuck_at(at_dispatch=4, model="fast"),
+            FaultEvent("crash", at_dispatch=6)], seed=0)
+        # one request per dispatch and no latency bound: twelve dispatches
+        # whatever order the scheduler picks, so every event comes due,
+        # each flipped tenant dispatches again after its flip, and the
+        # only permitted failure is the scripted crash
+        policy = mixed_policy(interactive_max_batch=1, bulk_max_batch=1,
+                              bulk_shed_after_ms=None)
+        plan = [("fast", "interactive") if i % 2 else ("batch", "bulk")
+                for i in range(12)]
+        with registry, InferenceServer(registry=registry, policy=policy,
+                                       detect_faults=True,
+                                       fault_injector=injector) as server:
+            futures = [server.submit_async(images[i % 8], model=model,
+                                           priority=priority)
+                       for i, (model, priority) in enumerate(plan)]
+            served, crashed = {}, []
+            for i, future in enumerate(futures):
+                try:    # bounded wait: a timeout here IS a hung future
+                    served[i] = future.result(timeout=RESULT_TIMEOUT_S)
+                except InjectedDispatchError:
+                    crashed.append(i)
+            snapshot = server.server_stats()
+            health = server.die_health.snapshot()
+
+        for i, result in served.items():
+            np.testing.assert_array_equal(result.output,
+                                          serial[plan[i][0]][i % 8])
+        assert len(crashed) == 1 and snapshot["requests_failed"] == 1
+        # dispatch 6 died; the server went on to serve 7..11
+        assert ({result.stats.batch_id for result in served.values()}
+                == set(range(12)) - {6})
+        assert injector.pending == []
+        flips = [entry for entry in injector.log()
+                 if entry.get("stuck_cells_total", 0) > 0]
+        assert {entry["model"] for entry in flips} == {"fast", "batch"}
+        assert snapshot["faults_detected"] >= len(flips)
+        assert snapshot["fault_recoveries"] >= len(flips)
+        assert any(result.stats.recovery is not None
+                   for result in served.values())
+        assert all(state == DIE_HEALTHY for state in health["dies"].values())
 
 
 class TestShutdownRace:

@@ -14,7 +14,7 @@ for byte.
 import numpy as np
 import pytest
 
-from repro.perf.suite import _post_relu_network
+from repro.serving.demo import post_relu_network as _post_relu_network
 from repro.reram import ADCSpec, DeviceSpec, ReRAMDevice, paper_adc_bits
 from repro.serving import (HttpClient, HttpError, HttpFrontend,
                            InferenceServer)

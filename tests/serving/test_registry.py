@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.perf.multitenant import tenant_models
+from repro.serving.demo import tenant_models
 from repro.reram import (ADCSpec, DeviceSpec, DieCache, ReRAMDevice,
                          paper_adc_bits)
 from repro.runtime import WorkerPool, run_network_serial

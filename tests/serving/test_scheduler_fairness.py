@@ -20,8 +20,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.perf.multitenant import mixed_policy
-from repro.perf.suite import _post_relu_network
+from repro.serving.demo import mixed_policy
+from repro.serving.demo import post_relu_network as _post_relu_network
 from repro.reram import ADCSpec, DeviceSpec, ReRAMDevice, paper_adc_bits
 from repro.runtime import run_network_serial
 from repro.serving import (SLA_MODE_STRICT, SLA_MODE_WEIGHTED_FAIR,

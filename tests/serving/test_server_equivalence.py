@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.perf.suite import _post_relu_network
+from repro.serving.demo import post_relu_network as _post_relu_network
 from repro.reram import ADCSpec, DeviceSpec, ReRAMDevice, paper_adc_bits
 from repro.reram.nonideal import ReadNoise
 from repro.reram.nonideal_engine import NonidealEngine
