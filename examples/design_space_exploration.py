@@ -34,7 +34,8 @@ def main() -> None:
     measured = extract_workload(scaled, test_set,
                                 fragment_sizes=fragment_sizes, sample_images=4)
 
-    # Full-size dimensions with the measured EIC grafted on (DESIGN.md).
+    # Full-size dimensions with the measured EIC grafted on
+    # (repro.arch.workload.transfer_measurements).
     full = build_model("vgg16", 100, 3, 32, width_mult=1.0)
     workload = transfer_measurements(trace_dimensions(full, 3, 32, network="VGG16"),
                                      measured)

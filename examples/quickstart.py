@@ -44,7 +44,7 @@ def main() -> None:
         fragment_size=8,                 # the paper's headline design point
         policy="w",                      # W-major polarization
         weight_bits=8, cell_bits=2,      # four 2-bit cells per weight
-        crossbar=CrossbarShape(32, 32),  # scaled with the model (see DESIGN.md)
+        crossbar=CrossbarShape(32, 32),  # scaled with the model
         filter_keep=0.5, shape_keep=0.5,
         prune_admm=admm, polarize_admm=admm, quantize_admm=admm,
     )

@@ -32,9 +32,11 @@ would:
    apart (the front end refuses to emit an undocumented type; this rule
    keeps "documented" honest).
 9. Every backticked token ending in ``.py`` or ``.sh`` in ``README.md``,
-   ``docs/*.md`` and ``benchmarks/README.md`` resolves — exactly, as a
-   path suffix, or as a glob — to a tracked file: deleting or renaming a
-   script without sweeping the prose that sends readers to it fails the
+   ``docs/*.md`` and ``benchmarks/README.md``, and every ``*.md`` name in
+   the code of ``src/`` and ``examples/`` (a quoted string literal such as
+   an output file name excepted), resolves — exactly, as a path suffix, or
+   as a glob — to a tracked file: deleting or renaming a script or a
+   document without sweeping the prose that sends readers to it fails the
    gate.  (``benchmarks/e2e/README.md`` is outside the corpus: only a
    benchmark PR may edit that directory.)
 
@@ -203,20 +205,29 @@ def tracked_files() -> list:
                 for path in REPO_ROOT.rglob("*") if path.is_file()]
 
 
-def check_script_references(failures: list) -> int:
-    """Rule 9: every referenced ``.py`` / ``.sh`` names a tracked file."""
+#: a backticked script name in prose
+SCRIPT_REFERENCE = r"`([^`\s]+\.(?:py|sh))`"
+#: a document name in code, not directly after a quote or inside a word
+DOC_REFERENCE = r"(?<![\w./*\"'-])([\w./-]+\.md)\b"
+
+
+def check_references(failures: list) -> int:
+    """Rule 9: every referenced script or document names a tracked file."""
     tracked = tracked_files()
     pages = [REPO_ROOT / "README.md", *docs_files(),
              REPO_ROOT / "benchmarks" / "README.md"]
+    code = [*sorted((REPO_ROOT / "src").rglob("*.py")),
+            *sorted((REPO_ROOT / "examples").glob("*.py"))]
+    sources = ([(page, SCRIPT_REFERENCE) for page in pages]
+               + [(path, DOC_REFERENCE) for path in code])
     count = 0
-    for page in pages:
-        for token in re.findall(r"`([^`\s]+\.(?:py|sh))`",
-                                read_if_exists(page)):
+    for path, pattern in sources:
+        for token in re.findall(pattern, read_if_exists(path)):
             count += 1
             if not any(fnmatch.fnmatch(name, token)
                        or fnmatch.fnmatch(name, f"*/{token}")
                        for name in tracked):
-                failures.append(f"{page.relative_to(REPO_ROOT)}: `{token}` "
+                failures.append(f"{path.relative_to(REPO_ROOT)}: `{token}` "
                                 "names no tracked file")
     return count
 
@@ -230,7 +241,7 @@ def main() -> int:
     n_backends = check_backends(failures)
     n_metrics = check_metric_names(failures)
     n_events = check_stream_events(failures)
-    n_scripts = check_script_references(failures)
+    n_references = check_references(failures)
     if failures:
         for failure in failures:
             print(f"ERROR: {failure}", file=sys.stderr)
@@ -240,8 +251,8 @@ def main() -> int:
           f"{len(subcommands)} subcommands, {len(serve_flags)} serve "
           f"flags, {n_codes} wire error codes, {n_backends} runtime "
           f"backends, {n_metrics} catalogued metrics and {n_events} "
-          f"stream event types documented; {n_scripts} script references "
-          "resolve")
+          f"stream event types documented; {n_references} script and "
+          "document references resolve")
     return 0
 
 

@@ -26,6 +26,12 @@
 #    every refusal being a documented receipt, the golden digests at
 #    seed 0 and the thread / fd / shm leak counters.  This is the only
 #    place performance is measured; see benchmarks/e2e/README.md.
+# 6. `python -m repro <name> --scale fast` over the twelve registry entries
+#    that finish in seconds (about a minute in all): each regenerates its
+#    table and exits 1 if its check finds a violated claim.  The eight
+#    training-based paper tables (table1, table2, table5, table6, fig6,
+#    fig8, fig13, fig14) are not here: at the FAST scale they take about
+#    36 minutes together on 2 vCPUs; run them with `python -m repro all`.
 set -e
 
 cd "$(dirname "$0")/.."
@@ -47,5 +53,12 @@ python scripts/check_docs.py
 
 echo "==> end-to-end benchmark smoke: benchmarks/e2e/run.py (all six workloads)"
 python3 benchmarks/e2e/run.py --seed 0 --seconds 3
+
+echo "==> experiment checks: python -m repro <name> --scale fast"
+for name in table3 table4 dse irdrop crossbar_size event_pipeline tinyadc \
+        fault_tolerance insitu_validation adc_bits energy_noc sign_rule; do
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro "$name" \
+        --scale fast
+done
 
 echo "checks passed"

@@ -6,8 +6,8 @@ training substrate (:mod:`repro.nn`), the ReRAM device/crossbar simulator
 (:mod:`repro.reram`), the accelerator architecture model (:mod:`repro.arch`),
 the parallel execution runtime (:mod:`repro.runtime`), the batching
 request-queue serving layer (:mod:`repro.serving`), the engine
-micro-benchmark suite (:mod:`repro.perf`), and the evaluation harness
-(:mod:`repro.analysis`).
+micro-benchmark suite (:mod:`repro.perf`), and the checked experiment
+registry (:mod:`repro.analysis`, run by ``python -m repro <name>``).
 
 Runtime architecture
 --------------------
@@ -45,9 +45,9 @@ The simulation stack splits scheduling from execution:
 its retained reference to ``BENCH_engine.json``; end-to-end performance
 (offline throughput, served latency and goodput, the per-layer budget)
 is measured by ``benchmarks/e2e/run.py`` against ``BENCHMARK.json``.
-``scripts/checks.sh`` gates changes on the fast tier-1 tests, the
-headline perf floor on both runtime backends, a docs-coverage check and
-the six end-to-end workloads at a quarter length.
+``scripts/checks.sh`` gates changes on the fast tier-1 tests, the perf
+floor on both backends, a docs-coverage check, the six end-to-end
+workloads at a quarter length and the twelve fast experiment checks.
 """
 
 __version__ = "1.3.0"

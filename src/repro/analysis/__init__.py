@@ -3,8 +3,10 @@
 ``table1`` .. ``table6``, ``fragment_size_sweep`` (Fig. 6), ``eic_experiment``
 (Fig. 8) and ``fig13``/``fig14`` each return an :class:`ExperimentTable`
 whose ``rendered`` field reproduces the paper artifact at the configured
-:class:`ExperimentScale` (FAST for tests/benches, STANDARD/FULL for deeper
-runs).
+:class:`ExperimentScale` (FAST for tests and the check gate,
+STANDARD/FULL for deeper runs); :mod:`.studies` holds the ablation,
+extension and validation drivers.  :data:`EXPERIMENTS` is the one registry
+of both, each entry with the check its table must pass.
 """
 
 from .experiments import (DATASET_KEEP, TRACE_IMAGE_SIZE, BaselineRun,
@@ -19,6 +21,7 @@ from .figures import (bar_chart, grouped_bar_chart, histogram, line_chart,
 from .presets import (FAST, FIG13_WORKLOADS, FIG14_WORKLOADS, FULL, SCALES,
                       STANDARD, TABLE1_WORKLOADS, TABLE2_WORKLOADS,
                       ExperimentScale)
+from .registry import EXPERIMENTS, Experiment, Violation
 from .report import (DEFAULT_ARTIFACTS, ReportSection, generate_report,
                      write_report)
 from .tables import render_kv, render_table
@@ -35,4 +38,5 @@ __all__ = [
     "render_table", "render_kv",
     "bar_chart", "grouped_bar_chart", "line_chart", "histogram", "sparkline",
     "generate_report", "write_report", "ReportSection", "DEFAULT_ARTIFACTS",
+    "EXPERIMENTS", "Experiment", "Violation",
 ]

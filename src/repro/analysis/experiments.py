@@ -2,11 +2,11 @@
 
 Each driver returns an :class:`ExperimentTable` whose ``rendered`` field is a
 printable reproduction of the corresponding paper artifact, plus structured
-rows for programmatic checks.  Benchmarks in ``benchmarks/`` call these
-functions; EXPERIMENTS.md records their output against the paper's numbers.
+rows for programmatic checks.  :mod:`repro.analysis.registry` registers each
+one with the check its table must pass; ``python -m repro <name>`` runs both.
 
 Model/dataset pairs, prune aggressiveness per dataset, and all cost knobs are
-centralized here so tests, examples and benches agree.
+centralized here so tests, examples and the CLI agree.
 """
 
 from __future__ import annotations
@@ -426,7 +426,8 @@ def fps_workload(model_name: str, dataset_name: str,
     Trains the scaled model, optimizes it with the full FORMS pipeline,
     measures per-layer keep ratios and EIC, then transfers them onto the
     full-width network dimensions traced at the dataset's native image size
-    (see DESIGN.md for this two-level protocol).
+    (:func:`repro.arch.workload.transfer_measurements` documents this
+    two-level protocol).
     """
     baseline = train_baseline(model_name, dataset_name, scale, seed=seed)
     config = forms_config_for(scale, dataset_name)

@@ -3,7 +3,7 @@
 The paper's evaluation mixes tables with figures (Figs. 6, 8, 13, 14); the
 tables render through :mod:`repro.analysis.tables`, and these helpers give
 the figures the same treatment — deterministic monospace artifacts that the
-benches print and EXPERIMENTS.md embeds.  No plotting dependency is needed
+experiment drivers print.  No plotting dependency is needed
 (the environment is offline).
 
 All renderers return a single string; values must be finite and the charts

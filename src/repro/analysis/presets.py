@@ -1,9 +1,10 @@
 """Experiment scale presets.
 
-Every experiment driver takes an :class:`ExperimentScale`; ``FAST`` keeps the
-whole table suite runnable in seconds (tests, CI, pytest-benchmark), while
-``STANDARD``/``FULL`` trade time for tighter accuracy estimates.  The paper's
-GPU-week training runs are out of scope offline; see DESIGN.md.
+Every experiment driver takes an :class:`ExperimentScale`; ``FAST`` is the
+scale of the tests and of the ``scripts/checks.sh`` experiment step
+(seconds for the analytic studies, minutes for the training-based tables),
+while ``STANDARD``/``FULL`` trade time for tighter accuracy estimates.  The
+paper's GPU-week training runs are out of scope offline.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """One-command evaluation report.
 
-``python -m repro report`` regenerates a configurable set of artifacts and
-assembles them into a single markdown document — the automated counterpart
-of EXPERIMENTS.md.  The default selection covers the artifacts that run in
-seconds (the calibrated hardware tables and the analytic ablations); pass
-``artifacts=("all",)`` or an explicit list to include the training-based
-tables and figures at the chosen scale.
+``python -m repro report`` regenerates a configurable set of artifacts from
+:data:`repro.analysis.EXPERIMENTS` and assembles them into a single
+markdown document.  The default selection covers the calibrated hardware
+tables, Table V and the analytic ablations; pass ``artifacts=("all",)`` or
+an explicit list to include the training-based tables and figures at the
+chosen scale.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from __future__ import annotations
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .experiments import ExperimentTable
 from .presets import FAST, ExperimentScale
+from .registry import EXPERIMENTS
 
 #: artifacts cheap enough to regenerate on every report by default
 DEFAULT_ARTIFACTS = ("table3", "table4", "table5", "dse", "irdrop")
@@ -28,9 +29,9 @@ Paper: *FORMS: Fine-grained Polarized ReRAM-based In-situ Computation for
 Mixed-signal DNN Accelerator* (ISCA 2021, arXiv:2106.09144).
 
 Regenerated by ``python -m repro report``.  Absolute values are not expected
-to match the paper (scaled models, synthetic data, analytic timing — see
-DESIGN.md); the claims to check are orderings, rough factors and crossover
-positions, catalogued in EXPERIMENTS.md.
+to match the paper (scaled models, synthetic data, analytic timing); the
+claims each table must satisfy are the checks of ``python -m repro <name>``
+(``repro/analysis/registry.py``).
 """
 
 
@@ -53,8 +54,6 @@ def generate_report(artifacts: Sequence[str] = DEFAULT_ARTIFACTS,
                     scale: ExperimentScale = FAST,
                     seed: int = 0) -> str:
     """Regenerate the selected artifacts and return the markdown report."""
-    from ..cli import EXPERIMENTS   # deferred: the CLI imports this module
-
     names = sorted(EXPERIMENTS) if list(artifacts) == ["all"] else list(artifacts)
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
@@ -62,10 +61,11 @@ def generate_report(artifacts: Sequence[str] = DEFAULT_ARTIFACTS,
                          f"options: {sorted(EXPERIMENTS)}")
     sections: List[ReportSection] = []
     for name in names:
-        driver, description = EXPERIMENTS[name]
+        entry = EXPERIMENTS[name]
         start = time.perf_counter()
-        table = driver(scale, seed)
-        sections.append(ReportSection(name=name, description=description,
+        table = entry.driver(scale, seed)
+        sections.append(ReportSection(name=name,
+                                      description=entry.description,
                                       table=table,
                                       elapsed_s=time.perf_counter() - start))
     body = "\n".join(section.rendered() for section in sections)

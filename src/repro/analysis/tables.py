@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment output.
 
-Every benchmark prints its table through these helpers so EXPERIMENTS.md and
-the bench logs share one format.
+Every experiment prints its table through these helpers, so the CLI output,
+the ``--out`` files and the markdown report share one format.
 """
 
 from __future__ import annotations

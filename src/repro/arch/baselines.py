@@ -44,8 +44,9 @@ RECORDED_BASELINES: Dict[str, RecordedBaseline] = {
         note="0.48 V / 0.52 GHz operating point; efficiency range published"),
 }
 
-#: Paper Table V FORMS/optimized rows — kept for paper-vs-measured reporting
-#: in EXPERIMENTS.md, never fed back into the model.
+#: Paper Table V FORMS/optimized rows — printed next to the measured rows by
+#: ``python -m repro table5``, whose check holds the polarization-only rows
+#: to them (:mod:`repro.analysis.registry`); never fed back into the model.
 PAPER_TABLE5: Dict[str, Tuple[float, float]] = {
     "ISAAC": (1.0, 1.0),
     "DaDianNao": (0.13, 0.45),
@@ -61,7 +62,7 @@ PAPER_TABLE5: Dict[str, Tuple[float, float]] = {
     "FORMS (full optimization, 16)": (39.48, 51.26),
 }
 
-#: Paper Figs. 13/14 FPS speedups over ISAAC-32 (for EXPERIMENTS.md only).
+#: Paper Figs. 13/14 FPS speedups over ISAAC-32 (reference values only).
 #: Keyed by (network, dataset); values ordered as the six plotted stacks:
 #: (PQ-ISAAC, PQ-PUMA, FORMS-8 no-skip, FORMS-16 no-skip,
 #:  FORMS-8 full, FORMS-16 full).
@@ -73,7 +74,7 @@ PAPER_FPS_SPEEDUPS: Dict[Tuple[str, str], Tuple[float, ...]] = {
     ("ResNet50", "imagenet"): (11.18, 8.30, 7.10, 10.67, 17.76, 21.09),
 }
 
-#: Headline claims used as qualitative checks by EXPERIMENTS.md.
+#: The paper's headline claims (reference values only).
 PAPER_CLAIMS = {
     "fps_speedup_over_optimized_isaac": (1.12, 2.4),
     "isaac_speedup_from_framework": (10.7, 377.9),

@@ -6,7 +6,7 @@ DACs, and eDRAM storage", and "through design space explorations, we find
 that 2-bit ReRAM cells delivers a better energy-efficiency than other number
 of bits per cell (e.g., 4-bit, 8-bit)".  This module rebuilds that sweep on
 top of the component catalog so both outcomes are regenerable
-(``bench_ablation_cell_bits``).
+(``python -m repro dse`` and ``python -m repro crossbar_size``).
 
 A :class:`DesignPoint` fixes fragment size, bits per cell, weight precision
 and ADC provisioning; :func:`evaluate_design` rolls it into a full chip and

@@ -5,7 +5,7 @@ This is the model behind Table V and Figs. 13/14.  Inputs: a chip design
 weight bits, pruned structure, zero-skipping) and a measured
 :class:`~repro.arch.workload.NetworkWorkload`.
 
-Model structure (assumptions documented in DESIGN.md):
+Model structure and its assumptions:
 
 * **Weight-stationary pipelined execution** (paper Fig. 12 / ISAAC): each
   layer owns crossbars holding its weights; images stream through; steady-

@@ -182,7 +182,7 @@ def transfer_measurements(target: NetworkWorkload,
     The FPS experiments (Figs. 13/14) evaluate *full-size* network dimensions
     — a dense full-width VGG-16/ResNet traced without training — while the
     per-layer keep ratios and activation EIC distributions are *measured* on
-    the scaled models we actually train (see DESIGN.md).  Layers are matched
+    the scaled models we actually train.  Layers are matched
     by relative depth, so topologies with different block counts still map
     sensibly.
 

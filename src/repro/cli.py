@@ -1,14 +1,16 @@
 """Command-line experiment runner and serving demo.
 
-Regenerate any paper table/figure from a shell::
+Regenerate any registered table/figure/study from a shell::
 
     python -m repro table1 --scale fast
     python -m repro fig8 --scale standard
     python -m repro all --scale fast --out results/
 
-``--scale`` selects an :class:`repro.analysis.ExperimentScale` preset
-(fast / standard / full); ``--out`` saves each rendered table next to
-printing it.
+The names are the keys of :data:`repro.analysis.EXPERIMENTS`.  ``--scale``
+selects an :class:`repro.analysis.ExperimentScale` preset (fast / standard
+/ full); ``--out`` saves each rendered table next to printing it.  After
+each table the entry's check runs and prints every violated claim; the
+exit code is 1 if any claim failed (``all`` still runs every entry).
 
 ``serve`` is the one entry point to the serving stack; what it serves
 is :func:`repro.serving.demo.build_demo_server`.  Without ``--http`` it
@@ -54,73 +56,16 @@ import argparse
 import pathlib
 import sys
 import time
-from typing import Callable, Dict
 
-from .analysis import (SCALES, ExperimentTable, eic_experiment, fig13, fig14,
-                       fragment_size_sweep, table1, table2, table3, table4,
-                       table5, table6)
-
-
-def _dse_table(scale, seed) -> ExperimentTable:
-    """Sec. IV-C cell-bits design-space sweep (see bench_ablation_cell_bits)."""
-    from .arch.dse import cell_bits_sweep
-    rows = []
-    for rule in ("exact", "paper"):
-        for ev in cell_bits_sweep(adc_rule=rule):
-            rows.append([rule, ev.point.cell_bits, ev.point.adc_bits,
-                         ev.gops_per_w, ev.gops_per_mm2,
-                         ev.level_margin_sigmas, ev.variation_feasible])
-    return ExperimentTable(
-        "DSE: bits per cell (fragment 8)",
-        ["ADC rule", "cell bits", "ADC bits", "GOPs/W", "GOPs/mm2",
-         "margin (sigma)", "feasible"], rows)
-
-
-def _irdrop_table(scale, seed) -> ExperimentTable:
-    """IR-drop error vs activation granularity (see bench_ablation_nonideality)."""
-    from .reram.nonideal import CellIV, WireModel, ir_drop_study
-    points = ir_drop_study(rows=64, cols=8,
-                           active_row_options=[4, 8, 16, 32, 64],
-                           wire=WireModel(r_wire_ohm=2.5),
-                           cell_iv=CellIV(nonlinearity=2.0), seed=seed)
-    rows = [[p.active_rows, p.relative_error * 100.0] for p in points]
-    return ExperimentTable(
-        "IR drop: relative MVM error vs rows active per conversion",
-        ["active rows", "error %"], rows)
-
-
-#: experiment name -> (driver taking a scale, description)
-EXPERIMENTS: Dict[str, tuple] = {
-    "table1": (lambda scale, seed: table1(scale, seed=seed),
-               "compression on MNIST & CIFAR-10"),
-    "table2": (lambda scale, seed: table2(scale, seed=seed),
-               "compression on CIFAR-100 & ImageNet"),
-    "table3": (lambda scale, seed: table3(8),
-               "MCU component specs (FORMS vs ISAAC)"),
-    "table4": (lambda scale, seed: table4(8),
-               "chip-level power/area"),
-    "table5": (lambda scale, seed: table5(scale, seed=seed),
-               "peak throughput normalized to ISAAC"),
-    "table6": (lambda scale, seed: table6(scale, seed=seed),
-               "accuracy degradation under device variation"),
-    "fig6": (lambda scale, seed: fragment_size_sweep(scale=scale, seed=seed),
-             "accuracy vs fragment size"),
-    "fig8": (lambda scale, seed: eic_experiment(scale=scale, seed=seed),
-             "effective input cycles"),
-    "fig13": (lambda scale, seed: fig13(scale, seed=seed),
-              "FPS speedup on CIFAR-10"),
-    "fig14": (lambda scale, seed: fig14(scale, seed=seed),
-              "FPS speedup on CIFAR-100 & ImageNet"),
-    "dse": (_dse_table, "bits-per-cell design-space sweep (Sec. IV-C)"),
-    "irdrop": (_irdrop_table, "IR-drop error vs activation granularity"),
-}
+from .analysis import EXPERIMENTS, SCALES
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Regenerate FORMS (ISCA 2021) evaluation tables/figures, "
-                    "or run the inference server ('serve').")
+        description="Regenerate and check FORMS (ISCA 2021) evaluation "
+                    "tables, figures and studies (exit 1 if a claim "
+                    "fails), or run the inference server ('serve').")
     choices = sorted(EXPERIMENTS) + ["all", "report", "serve"]
     parser.add_argument("experiment", choices=choices,
                         help="which artifact to regenerate ('report' builds "
@@ -277,16 +222,27 @@ def run(argv=None) -> int:
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
+    failed = []
     for name in names:
-        driver, description = EXPERIMENTS[name]
-        print(f"== {name}: {description} (scale={scale.name}) ==")
+        entry = EXPERIMENTS[name]
+        print(f"== {name}: {entry.description} (scale={scale.name}) ==")
         start = time.perf_counter()
-        table = driver(scale, args.seed)
+        table = entry.driver(scale, args.seed)
         elapsed = time.perf_counter() - start
         print(table.rendered)
+        violations = entry.check(table)
+        for violation in violations:
+            print(f"VIOLATED {violation}")
+        print(f"check: {len(violations)} claim(s) violated" if violations
+              else "check: ok")
         print(f"[{elapsed:.1f}s]\n")
         if args.out is not None:
             (args.out / f"{name}.txt").write_text(table.rendered + "\n")
+        if violations:
+            failed.append(name)
+    if failed:
+        print(f"check failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 

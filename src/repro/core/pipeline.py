@@ -60,7 +60,7 @@ class FORMSConfig:
     The paper's headline design point is ``fragment_size=8``, W-major policy
     on ImageNet / C-major on CIFAR, 8-bit weights on 2-bit cells, 16-bit
     activations, 128x128 crossbars.  Scaled-down experiments shrink
-    ``crossbar`` together with the models (see DESIGN.md).
+    ``crossbar`` together with the models (:mod:`repro.analysis.presets`).
     """
 
     fragment_size: int = 8

@@ -9,7 +9,7 @@ every weight whose sign disagrees (zero entries are compatible with either
 sign).  The fragment sign itself is chosen by the paper's sum rule (Eq. 2):
 positive when the fragment sums to >= 0.  We also provide the L2-optimal rule
 — pick the sign whose matching weights carry more energy, which yields the
-true nearest point in P_i — as an ablation (``bench_ablation_sign_rule``).
+true nearest point in P_i — as an ablation (``python -m repro sign_rule``).
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ techniques compose:
   ``ceil(log2(k * (2**cell_bits - 1) + 1))``.
 
 Since ADC area/power grow exponentially with resolution (Sec. V-B), each
-saved bit roughly halves the dominant peripheral cost — the ablation bench
-``bench_ablation_tinyadc`` prices this through the calibrated ADC model.
+saved bit roughly halves the dominant peripheral cost — the ablation
+``python -m repro tinyadc`` prices this through the calibrated ADC model.
 
 The constraint set {at most k non-zeros per fragment} has a closed-form
 Euclidean projection — keep the k largest magnitudes of each fragment — so

@@ -1,7 +1,7 @@
 """Numpy DNN training substrate (autograd, layers, models, data, training).
 
-This package replaces the PyTorch stack the FORMS authors used; see DESIGN.md
-for the substitution rationale.  Public surface:
+This package replaces the PyTorch stack the FORMS authors used, so the
+repo runs on NumPy alone.  Public surface:
 
 * :class:`repro.nn.Tensor` — autograd array
 * :mod:`repro.nn.functional` — conv2d / pooling / batch-norm / losses
@@ -12,15 +12,9 @@ for the substitution rationale.  Public surface:
 """
 
 from . import functional
-from .augment import (AugmentedDataset, Compose, Cutout, GaussianNoise,
-                      RandomCrop, RandomHorizontalFlip, Transform,
-                      standard_augmentation)
 from .data import (DataLoader, Dataset, load_dataset, make_synthetic,
                    synthetic_cifar10, synthetic_cifar100, synthetic_imagenet,
                    synthetic_mnist)
-from .init import (SCHEMES as INIT_SCHEMES, fan_in_out, he_normal,
-                   he_uniform, orthogonal, reinitialize, xavier_normal,
-                   xavier_uniform)
 from .metrics import (ClassificationReport, classification_report,
                       confusion_matrix, predictions_from_logits,
                       topk_accuracy)
@@ -31,8 +25,6 @@ from .layers import (AvgPool2d, BatchNorm1d, BatchNorm2d, Conv2d, Dropout,
 from .models import (VGG, BasicBlock, Bottleneck, LeNet5, ResNet, build_model,
                      resnet18, resnet20, resnet50)
 from .optim import SGD, Adam, Optimizer, StepLR
-from .schedulers import (ConstantLR, CosineAnnealingLR, ExponentialLR,
-                         LRScheduler, MultiStepLR, WarmupLR)
 from .tensor import Tensor, concatenate, no_grad, stack
 from .trainer import (EpochStats, History, evaluate, evaluate_topk, fit,
                       recalibrate_batchnorm)
@@ -45,14 +37,8 @@ __all__ = [
     "LeNet5", "VGG", "ResNet", "BasicBlock", "Bottleneck",
     "resnet18", "resnet20", "resnet50", "build_model",
     "SGD", "Adam", "Optimizer", "StepLR",
-    "LRScheduler", "MultiStepLR", "ExponentialLR", "CosineAnnealingLR",
-    "WarmupLR", "ConstantLR",
-    "fan_in_out", "xavier_uniform", "xavier_normal", "he_uniform",
-    "he_normal", "orthogonal", "reinitialize", "INIT_SCHEMES",
     "Dataset", "DataLoader", "make_synthetic", "load_dataset",
     "synthetic_mnist", "synthetic_cifar10", "synthetic_cifar100", "synthetic_imagenet",
-    "Transform", "RandomHorizontalFlip", "RandomCrop", "GaussianNoise",
-    "Cutout", "Compose", "standard_augmentation", "AugmentedDataset",
     "fit", "evaluate", "evaluate_topk", "History", "EpochStats",
     "recalibrate_batchnorm",
     "confusion_matrix", "classification_report", "ClassificationReport",

@@ -2,7 +2,7 @@
 
 The paper evaluates on MNIST, CIFAR-10/100 and ImageNet.  Those datasets are
 not available offline, so we generate deterministic synthetic stand-ins with
-matching channel/class structure (see DESIGN.md, "Substitutions").  Each class
+matching channel/class structure.  Each class
 is a smooth random prototype field; instances add filtered noise, small
 translations and contrast jitter.  The resulting task is genuinely learnable
 (a small convnet reaches high-but-not-perfect accuracy) and, critically, its

@@ -12,7 +12,6 @@ matmul exactly.
 from .bitslice import bit_slice, bit_unslice, num_slices, slice_weights
 from .converters import (ADCSpec, DACSpec, SampleHold, paper_adc_bits,
                          required_adc_bits)
-from .crossbar import CrossbarArray, SubArrayLayout
 from .device import DeviceSpec, ReRAMDevice, codes_to_digital
 from .engine import (DieCache, EngineStats, InSituLayerEngine, SignIndicator,
                      StatsScope, autotune_fused_kernel_max_elements,
@@ -39,7 +38,6 @@ from .vteam import (ProgramResult, ProgramScheme, VTEAMCell, VTEAMParams,
 __all__ = [
     "DeviceSpec", "ReRAMDevice", "codes_to_digital",
     "ADCSpec", "DACSpec", "SampleHold", "required_adc_bits", "paper_adc_bits",
-    "CrossbarArray", "SubArrayLayout",
     "bit_slice", "bit_unslice", "num_slices", "slice_weights",
     "MappedLayer", "map_layer", "infer_signs", "SCHEMES",
     "InSituLayerEngine", "SignIndicator", "EngineStats", "StatsScope",

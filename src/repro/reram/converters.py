@@ -11,7 +11,7 @@ has already been converted to an estimate of ``sum(code_i * bit_i)`` (see
 ``2**bits`` levels with saturation.  An ADC with enough bits to cover the
 worst-case fragment sum is exact — the anchor invariant of the whole
 simulator; an undersized ADC clips, which is measurable as accuracy loss
-(``bench_ablation_adc_bits``).
+(``python -m repro adc_bits``).
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def paper_adc_bits(fragment_size: int) -> int:
 
     Note these are one bit *below* :func:`required_adc_bits` for 2-bit cells —
     the paper sizes for typical rather than worst-case sums; the resulting
-    saturation is exactly what ``bench_ablation_adc_bits`` quantifies.
+    saturation is exactly what ``python -m repro adc_bits`` quantifies.
     """
     table = {4: 3, 8: 4, 16: 5}
     if fragment_size in table:

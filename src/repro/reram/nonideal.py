@@ -28,7 +28,7 @@ This module makes that claim quantitative:
   additive Gaussian noise relative to the full-scale fragment current.
 
 ``ir_drop_study`` packages the headline experiment: relative MVM error as a
-function of rows active per conversion (``bench_ablation_nonideality``).
+function of rows active per conversion (``python -m repro irdrop``).
 """
 
 from __future__ import annotations

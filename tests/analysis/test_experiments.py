@@ -32,6 +32,13 @@ class TestHardwareTables:
         assert "sign indicator" in table.rendered
         assert len(table.rows) == 7
 
+    def test_table3_other_fragment_sizes(self):
+        """ADC-law interpolation: fragment 4's 3-bit bank is smaller than
+        fragment 16's 5-bit bank."""
+        def adc_area(fragment):
+            return [r for r in table3(fragment).rows if r[0] == "ADC"][0][2]
+        assert adc_area(4) < adc_area(16)
+
     def test_table4_chip_totals(self):
         table = table4()
         totals = [r for r in table.rows if r[0] == "chip total"][0]
