@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs drift gate: the docs must exist, be reachable, and stay complete.
 
-Nine rules, each failing the check set (exit 1) the way a broken test
+Ten rules, each failing the check set (exit 1) the way a broken test
 would:
 
 1. ``README.md`` and ``docs/architecture.md`` exist and mention every
@@ -39,12 +39,18 @@ would:
    document without sweeping the prose that sends readers to it fails the
    gate.  (``benchmarks/e2e/README.md`` is outside the corpus: only a
    benchmark PR may edit that directory.)
+10. Every key of an empty ``ServerStats().snapshot(queue_depth=0)`` (the
+    ``GET /v1/stats`` body) appears backticked in ``docs/serving.md``,
+    and every ``/v1/usage`` cell field (``ServerStats().usage()``) in
+    ``docs/observability.md`` — a count added to the one stats store
+    cannot reach the wire undocumented.
 
-Rules 3-8 introspect the real parser (``repro.cli.build_parser``), the
+Rules 3-8 and 10 introspect the real parser (``repro.cli.build_parser``), the
 real wire contract (``repro.serving.wire.ERROR_CODES``), the real
 executor surface (``repro.runtime.BACKENDS``), the real metric
-catalog (``repro.obs.metric_names``) and the real event vocabulary
-(``repro.serving.wire.STREAM_EVENTS``), so the gate tracks the code by
+catalog (``repro.obs.metric_names``), the real event vocabulary
+(``repro.serving.wire.STREAM_EVENTS``) and the real stats store
+(``repro.serving.ServerStats``), so the gate tracks the code by
 construction.  Run by ``scripts/checks.sh``.
 """
 
@@ -194,6 +200,23 @@ def check_stream_events(failures: list) -> int:
     return len(STREAM_EVENTS)
 
 
+def check_stats_fields(failures: list) -> int:
+    """Rule 10: every /v1/stats key and /v1/usage cell field is documented."""
+    from repro.serving import ServerStats
+    stats = ServerStats()
+    count = 0
+    for page, fields in (("serving.md", stats.snapshot(queue_depth=0)),
+                         ("observability.md", stats.usage()["totals"])):
+        text = read_if_exists(REPO_ROOT / "docs" / page)
+        for name in fields:
+            count += 1
+            if f"`{name}`" not in text:
+                failures.append(f"docs/{page}: stats field `{name}` is "
+                                "undocumented (ServerStats and its wire "
+                                "reference must match)")
+    return count
+
+
 def tracked_files() -> list:
     """What git tracks; outside a checkout, what is on disk."""
     try:
@@ -241,6 +264,7 @@ def main() -> int:
     n_backends = check_backends(failures)
     n_metrics = check_metric_names(failures)
     n_events = check_stream_events(failures)
+    n_fields = check_stats_fields(failures)
     n_references = check_references(failures)
     if failures:
         for failure in failures:
@@ -250,8 +274,9 @@ def main() -> int:
           f"packages, {n_docs} docs page(s) linked from README, "
           f"{len(subcommands)} subcommands, {len(serve_flags)} serve "
           f"flags, {n_codes} wire error codes, {n_backends} runtime "
-          f"backends, {n_metrics} catalogued metrics and {n_events} "
-          f"stream event types documented; {n_references} script and "
+          f"backends, {n_metrics} catalogued metrics, {n_events} "
+          f"stream event types and {n_fields} stats fields documented; "
+          f"{n_references} script and "
           "document references resolve")
     return 0
 

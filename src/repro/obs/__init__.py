@@ -1,4 +1,4 @@
-"""End-to-end observability: metrics, request tracing, usage metering.
+"""End-to-end observability: metrics and request tracing.
 
 The telemetry substrate of the serving stack (PR 9), spanning every
 layer — engine tiers, the tile runtime, the SLA server, the HTTP front
@@ -17,12 +17,13 @@ differential matrix in ``tests/obs/``).
 * :mod:`repro.obs.trace` — span-tree request tracing keyed on the wire
   ``x-request-id`` (:class:`SpanRecorder`, thread-local :func:`bind`,
   bounded :class:`TraceRing` behind ``GET /v1/trace/<id>``);
-* :mod:`repro.obs.usage` — per-(model, class) :class:`UsageMeter`
-  (requests, macs, die-seconds, sheds) behind ``GET /v1/usage``;
 * :mod:`repro.obs.profile` — opt-in :class:`EngineProfiler`: per-tier
   wall-time histograms inside ``matvec_int`` dispatch;
 * :mod:`repro.obs.observability` — the :class:`Observability` bundle a
-  server carries (scrape hooks bridge pull gauges to live snapshots).
+  server carries.
+
+Counts live in the serving stores (``ServerStats`` also renders
+``GET /v1/usage``); ``/metrics`` reads them through sourced families.
 
 Operator reference: ``docs/observability.md``.
 """
@@ -35,13 +36,12 @@ from .observability import Observability
 from .profile import EngineProfiler
 from .trace import (SpanRecorder, TraceRing, active_recorder, bind,
                     new_trace_id, record_event, span_dict)
-from .usage import UsageMeter
 
 __all__ = [
     "BATCH_SIZE_BUCKETS", "ENGINE_BUCKETS_S", "LATENCY_BUCKETS_S",
     "METRIC_CATALOG", "MetricsRegistry", "Observability",
     "EngineProfiler", "PROMETHEUS_CONTENT_TYPE", "SpanRecorder",
-    "TraceRing", "UsageMeter", "active_recorder", "bind", "instrument",
+    "TraceRing", "active_recorder", "bind", "instrument",
     "metric_names", "new_trace_id", "parse_prometheus_text",
     "record_event", "span_dict",
 ]

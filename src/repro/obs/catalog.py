@@ -10,18 +10,19 @@ One declarative table, three consumers:
 * ``docs/observability.md`` is generated to match it (name / type /
   labels / help).
 
-Counter rows are live-incremented at their record sites or advanced to
-a monotone source total by a scrape hook; gauge rows are refreshed by
-scrape hooks from the snapshots the stack already computes; histogram
-rows observe on the hot path.
+Counter and gauge rows that count what a store already holds
+(``ServerStats``, ``RouterStats``, die health, ``EngineStats``, the
+asyncio shell's sockets) are registered with a *source* read at collect
+time; the rest are incremented at their one record site.  Histogram rows
+observe on the hot path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .metrics import (BATCH_SIZE_BUCKETS, ENGINE_BUCKETS_S,
-                      LATENCY_BUCKETS_S, MetricsRegistry)
+                      LATENCY_BUCKETS_S, MetricsRegistry, Source)
 
 
 def _spec(name: str, kind: str, labels: Tuple[str, ...], help_text: str,
@@ -32,7 +33,7 @@ def _spec(name: str, kind: str, labels: Tuple[str, ...], help_text: str,
 
 #: every metric name the default server + router wiring exports
 METRIC_CATALOG: Tuple[Dict, ...] = (
-    # -- server: request lifecycle (live counters/histograms) -----------
+    # -- server: request lifecycle (read from ServerStats) ---------------
     _spec("forms_requests_completed_total", "counter", ("model", "class"),
           "Requests served to completion, by tenant model and SLA class."),
     _spec("forms_requests_shed_total", "counter",
@@ -56,11 +57,11 @@ METRIC_CATALOG: Tuple[Dict, ...] = (
           LATENCY_BUCKETS_S),
     _spec("forms_queue_wait_seconds", "histogram", ("class",),
           "Queue wait: enqueue to batch dispatch.", LATENCY_BUCKETS_S),
-    # -- server: scrape-time gauges from the stack's own snapshots ------
+    # -- server: gauges read from the stack's own state -----------------
     _spec("forms_queue_depth", "gauge", (),
           "Requests waiting in the SLA queue right now."),
     _spec("forms_occupancy", "gauge", (),
-          "Dispatch-loop busy fraction over the stats window."),
+          "Dispatch-loop busy fraction since server start."),
     _spec("forms_die_health", "gauge", ("state",),
           "Dies per health state (healthy / quarantined / reprogramming)."),
     _spec("forms_engine_counter", "gauge", ("model", "counter"),
@@ -100,15 +101,19 @@ def metric_names() -> Tuple[str, ...]:
     return tuple(spec["name"] for spec in METRIC_CATALOG)
 
 
-def instrument(metrics: MetricsRegistry, name: str):
-    """Register (idempotently) and return the catalogued family."""
+def instrument(metrics: MetricsRegistry, name: str,
+               source: Optional[Source] = None):
+    """Register (idempotently) and return the catalogued family, read
+    from ``source`` at collect time when one is given."""
     spec = _BY_NAME.get(name)
     if spec is None:
         raise KeyError(f"metric {name!r} is not in METRIC_CATALOG — add a "
                        "catalog row (and docs/observability.md entry) first")
     if spec["kind"] == "counter":
-        return metrics.counter(name, spec["help"], labels=spec["labels"])
+        return metrics.counter(name, spec["help"], labels=spec["labels"],
+                               source=source)
     if spec["kind"] == "gauge":
-        return metrics.gauge(name, spec["help"], labels=spec["labels"])
+        return metrics.gauge(name, spec["help"], labels=spec["labels"],
+                             source=source)
     return metrics.histogram(name, spec["help"], labels=spec["labels"],
                              buckets=spec["buckets"])

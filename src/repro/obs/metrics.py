@@ -14,7 +14,12 @@ children.  Design constraints, in order:
 * **snapshot-consistent reads** — :meth:`MetricsRegistry.collect` takes
   each family's lock once and copies its children, so a rendered
   scrape never shows a histogram whose ``_count`` disagrees with the
-  sum of its buckets.
+  sum of its buckets;
+* **one pull mechanism** — a counter or gauge family registered with a
+  ``source`` (``() -> {label_values: value}``) keeps no children of its
+  own: ``collect`` calls the source, so a count that already lives in a
+  store (``ServerStats``, ``RouterStats``, the die-health registry) is
+  read, never copied.
 
 :func:`MetricsRegistry.render` emits Prometheus text exposition format
 0.0.4 (``# HELP`` / ``# TYPE`` / samples, histogram ``_bucket{le=...}``
@@ -44,6 +49,10 @@ ENGINE_BUCKETS_S = (1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3,
 #: default histogram buckets for batch sizes (requests per batch)
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
+#: a sourced family's reader: ``{label_values: value}`` at collect time
+#: (a bare string key stands for a one-label tuple, ``()`` for no labels)
+Source = Callable[[], Dict]
+
 _NAME_OK = set("abcdefghijklmnopqrstuvwxyz"
                "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_:")
 
@@ -63,9 +72,6 @@ class _NullChild:
         pass
 
     def set(self, value: float) -> None:
-        pass
-
-    def set_function(self, fn: Optional[Callable[[], float]]) -> None:
         pass
 
     def observe(self, value: float) -> None:
@@ -88,30 +94,13 @@ class _CounterChild:
         with self._family._lock:
             self.value += amount
 
-    def set(self, value: float) -> None:
-        """Advance the counter to an externally tracked monotone total.
-
-        For counters that *mirror* a source that already counts
-        monotonically (``ServerStats``, ``RouterStats``) a scrape hook
-        sets the total instead of replaying increments.  Moving
-        backwards raises — the monotonicity contract is the source's to
-        keep and this is where a violation would surface.
-        """
-        with self._family._lock:
-            if value < self.value:
-                raise ValueError(
-                    f"counter {self._family.name} would decrease "
-                    f"({self.value} -> {value})")
-            self.value = value
-
 
 class _GaugeChild:
-    __slots__ = ("_family", "value", "_fn")
+    __slots__ = ("_family", "value")
 
     def __init__(self, family: "_Family"):
         self._family = family
         self.value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
 
     def set(self, value: float) -> None:
         with self._family._lock:
@@ -120,15 +109,6 @@ class _GaugeChild:
     def inc(self, amount: float = 1.0) -> None:
         with self._family._lock:
             self.value += amount
-
-    def set_function(self, fn: Optional[Callable[[], float]]) -> None:
-        """Read the gauge from ``fn()`` at collect time (scrape-pull)."""
-        with self._family._lock:
-            self._fn = fn
-
-    def _read(self) -> float:
-        # caller holds the family lock
-        return float(self._fn()) if self._fn is not None else self.value
 
 
 class _HistogramChild:
@@ -157,11 +137,12 @@ class _Family:
     """One named metric and its labelled children."""
 
     __slots__ = ("name", "kind", "help", "label_names", "buckets",
-                 "_children", "_lock", "_registry")
+                 "source", "_children", "_lock", "_registry")
 
     def __init__(self, registry: "MetricsRegistry", name: str, kind: str,
                  help_text: str, label_names: Sequence[str],
-                 buckets: Optional[Sequence[float]] = None):
+                 buckets: Optional[Sequence[float]] = None,
+                 source: Optional[Source] = None):
         self.name = _check_name(name)
         self.kind = kind
         self.help = help_text
@@ -176,6 +157,7 @@ class _Family:
             if buckets is not None:
                 raise ValueError(f"{name}: only histograms take buckets")
             self.buckets = ()
+        self.source = source
         self._children: Dict[tuple, object] = {}
         self._lock = threading.Lock()
         self._registry = registry
@@ -206,23 +188,21 @@ class _Family:
     def observe(self, value: float) -> None:
         self.labels().observe(value)
 
-    def set_function(self, fn: Optional[Callable[[], float]]) -> None:
-        self.labels().set_function(fn)
-
     def _collect(self) -> List[tuple]:
-        """Consistent (labels, payload) snapshot of every child."""
+        """Consistent (labels, payload) snapshot of every child — or,
+        for a sourced family, of one call to its source."""
+        if self.source is not None:
+            return [(tuple(str(v) for v in
+                           (key if isinstance(key, tuple) else (key,))),
+                     float(value))
+                    for key, value in self.source().items()]
         with self._lock:
-            items = list(self._children.items())
-            out = []
-            for key, child in items:
-                if self.kind == "counter":
-                    out.append((key, child.value))
-                elif self.kind == "gauge":
-                    out.append((key, child._read()))
-                else:
-                    out.append((key, (list(child.bucket_counts),
-                                      child.sum, child.count)))
-        return out
+            if self.kind == "histogram":
+                return [(key, (list(child.bucket_counts), child.sum,
+                               child.count))
+                        for key, child in self._children.items()]
+            return [(key, child.value)
+                    for key, child in self._children.items()]
 
 
 def _escape_help(text: str) -> str:
@@ -266,7 +246,8 @@ class MetricsRegistry:
     # -- registration ---------------------------------------------------
     def _register(self, name: str, kind: str, help_text: str,
                   label_names: Sequence[str],
-                  buckets: Optional[Sequence[float]] = None) -> _Family:
+                  buckets: Optional[Sequence[float]] = None,
+                  source: Optional[Source] = None) -> _Family:
         with self._lock:
             existing = self._families.get(name)
             if existing is not None:
@@ -275,19 +256,28 @@ class MetricsRegistry:
                     raise ValueError(
                         f"metric {name} already registered as "
                         f"{existing.kind}{existing.label_names}")
+                if source is not None:
+                    existing.source = source   # the latest owner reads
                 return existing
             family = _Family(self, name, kind, help_text, label_names,
-                             buckets)
+                             buckets, source)
             self._families[name] = family
             return family
 
     def counter(self, name: str, help_text: str = "",
-                labels: Sequence[str] = ()) -> _Family:
-        return self._register(name, "counter", help_text, labels)
+                labels: Sequence[str] = (),
+                source: Optional[Source] = None) -> _Family:
+        """A counter family; with ``source`` it is read at collect time
+        (the source keeps the monotone totals) and takes no ``inc``."""
+        return self._register(name, "counter", help_text, labels,
+                              source=source)
 
     def gauge(self, name: str, help_text: str = "",
-              labels: Sequence[str] = ()) -> _Family:
-        return self._register(name, "gauge", help_text, labels)
+              labels: Sequence[str] = (),
+              source: Optional[Source] = None) -> _Family:
+        """A gauge family; with ``source`` it is read at collect time."""
+        return self._register(name, "gauge", help_text, labels,
+                              source=source)
 
     def histogram(self, name: str, help_text: str = "",
                   labels: Sequence[str] = (),
@@ -300,7 +290,10 @@ class MetricsRegistry:
 
     # -- exposition -----------------------------------------------------
     def collect(self) -> List[tuple]:
-        """(name, kind, help, buckets, [(label_values, payload)...])."""
+        """(name, kind, help, buckets, [(label_values, payload)...]);
+        nothing at all — no source is called — when disabled."""
+        if not self.enabled:
+            return []
         with self._lock:
             families = [self._families[name]
                         for name in sorted(self._families)]

@@ -1,22 +1,20 @@
-"""The per-server observability bundle: metrics + traces + usage.
+"""The per-server observability bundle: metrics + traces.
 
 One :class:`Observability` object travels with one
 :class:`~repro.serving.InferenceServer` (or one
-:class:`~repro.serving.ClusterRouter`) and owns its three read-side
+:class:`~repro.serving.ClusterRouter`) and owns its two read-side
 stores:
 
 * ``metrics`` — the :class:`~repro.obs.metrics.MetricsRegistry` behind
   ``GET /metrics``;
 * ``traces`` — the :class:`~repro.obs.trace.TraceRing` behind
-  ``GET /v1/trace/<id>``;
-* ``usage`` — the :class:`~repro.obs.usage.UsageMeter` behind
-  ``GET /v1/usage``.
+  ``GET /v1/trace/<id>``.
 
-*Scrape hooks* bridge pull-time gauges to the snapshots the stack
-already computes: the wiring registers callables that refresh gauges
-(queue depth, occupancy, die health, engine counters, router state)
-and :meth:`scrape` runs them before rendering, so a scrape is a
-consistent read of live state rather than a stale push.
+Counts are not kept here: the server's
+:class:`~repro.serving.stats.ServerStats` (behind ``GET /v1/stats`` and
+``GET /v1/usage``) and the router's ``RouterStats`` register their
+families on ``metrics`` with a *source*, so a scrape reads the one store
+at collect time.
 
 ``Observability.disabled()`` is the ``--no-metrics`` shape: the
 registry hands out no-op instruments, the ring drops every put, and
@@ -25,25 +23,18 @@ the serving hot path skips span assembly entirely.
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, List
-
 from .metrics import MetricsRegistry
 from .trace import TraceRing
-from .usage import UsageMeter
 
 
 class Observability:
-    """Metrics + trace ring + usage meter for one serving entity."""
+    """Metrics registry + trace ring for one serving entity."""
 
     def __init__(self, *, metrics: bool = True, tracing: bool = True,
                  trace_ring: int = 256, profile_engines: bool = False):
         self.metrics = MetricsRegistry(enabled=metrics)
         self.traces = TraceRing(trace_ring if tracing else 0)
-        self.usage = UsageMeter()
         self.profile_engines = profile_engines
-        self._scrape_hooks: List[Callable[[], None]] = []
-        self._hook_lock = threading.Lock()
 
     @classmethod
     def disabled(cls) -> "Observability":
@@ -53,17 +44,3 @@ class Observability:
     @property
     def tracing(self) -> bool:
         return self.traces.capacity > 0
-
-    def add_scrape_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook()`` before every render (refresh pull gauges)."""
-        with self._hook_lock:
-            self._scrape_hooks.append(hook)
-
-    def scrape(self) -> str:
-        """Refresh pull-time gauges, then render the text exposition."""
-        with self._hook_lock:
-            hooks = list(self._scrape_hooks)
-        if self.metrics.enabled:
-            for hook in hooks:
-                hook()
-        return self.metrics.render()

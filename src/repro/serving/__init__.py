@@ -62,18 +62,19 @@ Components
   health-checked failover and hedging, scatter/gather batches,
   ``cluster_unavailable`` receipts, and the subprocess kill/restart
   chaos harness behind ``python -m repro serve --cluster N``.
-* :class:`ServerStats` / :class:`RequestStats` — the operational view
-  (p50/p95 latency overall and per class / per model, shed counts by
-  reason, queue depth, batch mix, occupancy, fault detections and
-  recoveries) and the per-request receipt (queue wait, batch ridden,
+* :class:`ServerStats` / :class:`RequestStats` — the one store of
+  served-side counts, read three ways (``/v1/stats``: p50/p95 latency
+  overall and per class / per model, shed counts by reason, batch mix,
+  occupancy, fault detections and recoveries; ``/v1/usage``: per-tenant
+  requests, sheds, macs and die-seconds; the ``/metrics`` counters) and
+  the per-request receipt (queue wait, batch ridden,
   model, class, the exact per-request slice of the shared engines'
   merged ``EngineStats``, and — after a die recovery — the recovery
   receipt).
 * :class:`~repro.obs.Observability` (re-exported from :mod:`repro.obs`)
   — the telemetry bundle every server and router carries by default:
   the ``/metrics`` Prometheus exposition, the ``/v1/trace/<id>`` span
-  ring, the ``/v1/usage`` per-tenant meter and the opt-in engine
-  profiler — all read-only w.r.t. numerics (``docs/observability.md``).
+  ring and the opt-in engine profiler — all read-only w.r.t. numerics (``docs/observability.md``).
 * :class:`DieHealthRegistry` — per-die health states
   (``healthy`` / ``quarantined`` / ``reprogramming``) behind the
   ``/healthz`` die-pool summary; driven by the dispatch path's online

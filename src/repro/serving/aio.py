@@ -149,17 +149,18 @@ class AsyncFrontend(Shell):
         self._started = threading.Event()
         self._start_error: Optional[BaseException] = None
         self._sockname: Tuple[str, int] = (host, port)
-        # loop-thread-only gauges (read cross-thread by scrape hooks —
-        # plain int reads are atomic under the GIL)
+        # loop-thread-only state, read cross-thread by the gauge sources
+        # (plain int reads are atomic under the GIL)
         self._conns: set = set()
         self._inflight_bytes = 0
         self.peak_connections = 0
-        obs = server.obs
-        self._m_conns = instrument(obs.metrics, "forms_async_connections")
-        self._m_bytes = instrument(obs.metrics, "forms_async_inflight_bytes")
-        self._m_streams = instrument(obs.metrics, "forms_streams_total")
-        self._m_events = instrument(obs.metrics, "forms_stream_events_total")
-        obs.add_scrape_hook(self._refresh_gauges)
+        metrics = server.obs.metrics
+        instrument(metrics, "forms_async_connections",
+                   source=lambda: {(): len(self._conns)})
+        instrument(metrics, "forms_async_inflight_bytes",
+                   source=lambda: {(): self._inflight_bytes})
+        self._m_streams = instrument(metrics, "forms_streams_total")
+        self._m_events = instrument(metrics, "forms_stream_events_total")
 
     @property
     def host(self) -> str:
@@ -173,10 +174,6 @@ class AsyncFrontend(Shell):
     def connections(self) -> int:
         """Open sockets right now (a racy gauge, like queue depth)."""
         return len(self._conns)
-
-    def _refresh_gauges(self) -> None:
-        self._m_conns.set(len(self._conns))
-        self._m_bytes.set(self._inflight_bytes)
 
     def _log(self, line: str) -> None:
         if self.log is not None:
@@ -304,11 +301,12 @@ class AsyncFrontend(Shell):
         """Raise the :class:`RequestShed` of a transport-level admission
         refusal when the caps are hit with ``declared`` more body bytes.
 
-        The receipt rides the server's single shed-record site, so the
-        stats window, ``forms_requests_shed_total`` and the usage meter
-        bill transport sheds under :data:`TRANSPORT_SCOPE` exactly like
-        queue sheds — the acceptance criterion's "sheds only as
-        documented receipts" includes backpressure.
+        The receipt rides the server's single shed-record site
+        (:meth:`~repro.serving.server.InferenceServer.record_shed`), so
+        ``/v1/stats``, ``/v1/usage`` and ``forms_requests_shed_total``
+        count transport sheds under :data:`TRANSPORT_SCOPE` exactly like
+        queue sheds — "sheds only as documented receipts" includes
+        backpressure.
         """
         if self.admission is None or self.admission.admit_transport(
                 len(self._conns), self._inflight_bytes + declared):
@@ -317,9 +315,7 @@ class AsyncFrontend(Shell):
             request_id=-1, model=TRANSPORT_SCOPE,
             priority_class=TRANSPORT_SCOPE, reason=SHED_ADMISSION,
             queue_wait_s=0.0, trace_id=request.trace_id)
-        record = getattr(self.server, "_record_shed", None)
-        if record is not None:
-            record(receipt)
+        self.server.record_shed(receipt)
         self._log(f"transport shed: {detail} at {len(self._conns)} open, "
                   f"{self._inflight_bytes} bytes in flight")
         raise RequestShed(receipt)

@@ -123,38 +123,34 @@ class RoutingPolicy:
         }
 
 
+#: the router's lifecycle counters, in ``/v1/stats`` order
+ROUTER_EVENTS = ("requests",                 # front-door requests routed
+                 "attempts",                 # proxied attempts fired
+                 "failovers",                # retryable outcomes moved on
+                 "hedges_fired",
+                 "hedges_won",               # hedge beat the primary
+                 "unavailable",              # cluster_unavailable receipts
+                 "batch_items",              # scatter/gather items routed
+                 "batch_items_unavailable")
+
+
 class RouterStats:
-    """Thread-safe router-level counters (``/v1/stats`` and
-    ``/v1/cluster`` serve :meth:`snapshot`)."""
+    """Thread-safe router-level counters: ``/v1/stats`` and
+    ``/v1/cluster`` serve :meth:`snapshot`, and
+    ``forms_router_events_total`` reads it at collect time."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.requests = 0           # front-door requests routed
-        self.attempts = 0           # proxied attempts fired
-        self.failovers = 0          # retryable outcomes that moved on
-        self.hedges_fired = 0
-        self.hedges_won = 0         # hedge answered before the primary
-        self.unavailable = 0        # cluster_unavailable receipts issued
-        self.batch_items = 0        # scatter/gather items routed
-        self.batch_items_unavailable = 0
+        self._counts = dict.fromkeys(ROUTER_EVENTS, 0)
 
     def record(self, **deltas: int) -> None:
         with self._lock:
             for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
+                self._counts[name] += delta
 
-    def snapshot(self) -> Dict:
+    def snapshot(self) -> Dict[str, int]:
         with self._lock:
-            return {
-                "requests": self.requests,
-                "attempts": self.attempts,
-                "failovers": self.failovers,
-                "hedges_fired": self.hedges_fired,
-                "hedges_won": self.hedges_won,
-                "unavailable": self.unavailable,
-                "batch_items": self.batch_items,
-                "batch_items_unavailable": self.batch_items_unavailable,
-            }
+            return dict(self._counts)
 
 
 def _unavailable_error(model: Optional[str], attempts: int) -> Dict:
@@ -215,28 +211,15 @@ class ClusterRouter(ThreadedShell):
                                 else HttpClient)
 
     def _wire_obs(self) -> None:
-        """Bridge the router's live counters to its ``/metrics`` page.
-
-        The router has no hot inference loop of its own, so *all* its
-        metrics are pull-time mirrors: a scrape hook copies
-        :meth:`RouterStats.snapshot` into the
-        ``forms_router_events_total`` counter family (monotone ``set`` —
-        the snapshot totals only ever grow) and the directory's
-        up/suspect/down tally into ``forms_router_replicas``.
-        """
+        """The router's ``/metrics`` page: both families read live state
+        at collect time — :meth:`RouterStats.snapshot` and the
+        directory's up/suspect/down tally — so the routing hot loop
+        carries no instrumentation at all."""
         metrics = self.obs.metrics
-        if not metrics.enabled:
-            return
-        events = instrument(metrics, "forms_router_events_total")
-        replicas = instrument(metrics, "forms_router_replicas")
-
-        def refresh() -> None:
-            for event, total in self.stats.snapshot().items():
-                events.labels(event).set(total)
-            for state, count in self.directory.snapshot()["counts"].items():
-                replicas.labels(state).set(count)
-
-        self.obs.add_scrape_hook(refresh)
+        instrument(metrics, "forms_router_events_total",
+                   source=self.stats.snapshot)
+        instrument(metrics, "forms_router_replicas",
+                   source=lambda: self.directory.snapshot()["counts"])
 
     # -- lifecycle hooks of the shell -----------------------------------------
     def _on_start(self) -> None:
@@ -251,7 +234,7 @@ class ClusterRouter(ThreadedShell):
     def metrics_text(self) -> str:
         """``GET /metrics``: the router's own Prometheus exposition (the
         replicas each serve their own — scrape all of them)."""
-        return self.obs.scrape()
+        return self.obs.metrics.render()
 
     def trace(self, trace_id: str) -> Optional[Dict]:
         """The stored routing trace for ``trace_id`` (``None`` on miss)."""

@@ -329,7 +329,7 @@ class SlaQueue:
     only when closed and drained.
 
     ``on_shed`` (if given) is called with each :class:`ShedReceipt` —
-    the server wires it to ``ServerStats.record_shed``.
+    the server wires it to ``InferenceServer.record_shed``.
     """
 
     def __init__(self, policy: SlaPolicy,

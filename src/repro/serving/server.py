@@ -184,21 +184,23 @@ class InferenceServer:
                        else SlaPolicy.fifo(max_batch=max_batch,
                                            max_wait_s=max_wait_s))
         self.admission = admission
+        #: the one store of served-side counts behind ``GET /v1/stats``,
+        #: ``GET /v1/usage`` and the counts of ``GET /metrics``
         self.stats = ServerStats()
         #: the server's observability bundle (metrics registry behind
-        #: ``GET /metrics``, trace ring behind ``GET /v1/trace/<id>``,
-        #: usage meter behind ``GET /v1/usage``); default-on — pass
-        #: ``Observability.disabled()`` for the bare-metal shape
+        #: ``GET /metrics``, trace ring behind ``GET /v1/trace/<id>``);
+        #: default-on — pass ``Observability.disabled()`` for the
+        #: bare-metal shape
         self.obs = obs if obs is not None else Observability()
         self.profiler: Optional[EngineProfiler] = None
-        self._wire_obs()
-        self.queue = SlaQueue(self.policy, on_shed=self._record_shed)
+        self.queue = SlaQueue(self.policy, on_shed=self.record_shed)
         self._ids = itertools.count()
         self._batch_ids = itertools.count()
         self._shutdown_lock = threading.Lock()
         self._shut_down = False
         # --- online fault tolerance -----------------------------------
         self.die_health = DieHealthRegistry()
+        self._wire_obs()
         self.fault_injector = fault_injector
         self.max_fault_retries = max_fault_retries
         self._guards: Dict[Tuple[str, str], DieGuard] = {}
@@ -217,66 +219,33 @@ class InferenceServer:
         self.batcher.start()
 
     def _wire_obs(self) -> None:
-        """Register the catalogued instruments and pull-gauge hooks.
-
-        Counters and histograms are live-updated at their record sites
-        (:meth:`_record_shed`, :meth:`_dispatch`); the gauges are
-        refreshed by a scrape hook from the snapshots the stack already
-        computes (queue depth, occupancy window, die health states,
-        per-model :class:`~repro.reram.engine.EngineStats` totals), so a
-        scrape is a consistent read of live state.
-        """
+        """Expose the stats store on the metrics registry and register
+        the server's own gauges as sources read at collect time (queue
+        depth, die health states, per-model
+        :class:`~repro.reram.engine.EngineStats` totals)."""
         metrics = self.obs.metrics
-        self._m_completed = instrument(metrics,
-                                       "forms_requests_completed_total")
-        self._m_shed = instrument(metrics, "forms_requests_shed_total")
-        self._m_failed = instrument(metrics, "forms_requests_failed_total")
-        self._m_recovered = instrument(metrics,
-                                       "forms_requests_recovered_total")
-        self._m_faults = instrument(metrics, "forms_faults_detected_total")
-        self._m_fault_recoveries = instrument(
-            metrics, "forms_fault_recoveries_total")
-        self._m_batches = instrument(metrics, "forms_batches_total")
-        self._m_batch_size = instrument(metrics, "forms_batch_size")
-        self._m_latency = instrument(metrics,
-                                     "forms_request_latency_seconds")
-        self._m_queue_wait = instrument(metrics, "forms_queue_wait_seconds")
-        if not metrics.enabled:
-            return
-        # pre-touch the label-less families so a scrape reports them at
-        # zero instead of omitting them until the first event
-        for family in (self._m_failed, self._m_recovered, self._m_faults,
-                       self._m_fault_recoveries, self._m_batches,
-                       self._m_batch_size):
-            family.labels()
-        instrument(metrics, "forms_queue_depth").labels().set_function(
-            lambda: self.queue.depth)
-        instrument(metrics, "forms_occupancy").labels().set_function(
-            self.stats.occupancy)
-        die_health = instrument(metrics, "forms_die_health")
-        engine_counter = instrument(metrics, "forms_engine_counter")
+        self.stats.expose(metrics)
+        instrument(metrics, "forms_queue_depth",
+                   source=lambda: {(): self.queue.depth})
+        instrument(metrics, "forms_die_health", source=self.die_health.counts)
+        instrument(metrics, "forms_engine_counter",
+                   source=self._engine_counters)
 
-        def refresh() -> None:
-            for state, count in self.die_health.counts().items():
-                die_health.labels(state).set(count)
-            for name in self.registry.names():
-                entry = self.registry.get(name)
-                totals: Dict[str, int] = {}
-                for engine in entry.engines.values():
-                    for key, value in engine.stats.as_dict().items():
-                        totals[key] = totals.get(key, 0) + value
-                for key, value in totals.items():
-                    engine_counter.labels(entry.name, key).set(value)
+    def _engine_counters(self) -> Dict[Tuple[str, str], int]:
+        totals: Dict[Tuple[str, str], int] = {}
+        for name in self.registry.names():
+            entry = self.registry.get(name)
+            for engine in entry.engines.values():
+                for key, value in engine.stats.as_dict().items():
+                    totals[(entry.name, key)] = (
+                        totals.get((entry.name, key), 0) + value)
+        return totals
 
-        self.obs.add_scrape_hook(refresh)
-
-    def _record_shed(self, receipt: ShedReceipt) -> None:
-        """The single shed record site: stats window, metrics, usage,
-        and (when tracing) a one-span shed trace under the request's id."""
+    def record_shed(self, receipt: ShedReceipt) -> None:
+        """The single shed record site — queue, admission, fault and
+        transport sheds alike: one count in the stats store and (when
+        tracing) a one-span shed trace under the request's id."""
         self.stats.record_shed(receipt)
-        self._m_shed.labels(receipt.model, receipt.priority_class,
-                            receipt.reason).inc()
-        self.obs.usage.record_shed(receipt.model, receipt.priority_class)
         if self.obs.tracing and receipt.trace_id:
             self.obs.traces.put({
                 "trace_id": receipt.trace_id,
@@ -446,7 +415,7 @@ class InferenceServer:
                     priority_class=cls.name, reason=SHED_ADMISSION,
                     queue_wait_s=0.0, deadline_s=deadline_s,
                     trace_id=trace_id)
-                self._record_shed(receipt)
+                self.record_shed(receipt)
                 refused: Future = Future()
                 refused.set_exception(RequestShed(receipt))
                 return refused
@@ -482,13 +451,14 @@ class InferenceServer:
         return self.registry.stats()
 
     def metrics_text(self) -> str:
-        """The Prometheus text exposition behind ``GET /metrics``
-        (refreshes the pull gauges first)."""
-        return self.obs.scrape()
+        """The Prometheus text exposition behind ``GET /metrics`` (the
+        sourced families read live state as they render)."""
+        return self.obs.metrics.render()
 
     def usage_snapshot(self) -> Dict:
-        """Per-(model, class) usage accounting behind ``GET /v1/usage``."""
-        return self.obs.usage.snapshot()
+        """Per-(model, class) usage accounting behind ``GET /v1/usage``
+        (see :meth:`ServerStats.usage`)."""
+        return self.stats.usage()
 
     def trace(self, trace_id: str) -> Optional[Dict]:
         """The stored span tree for one request id (``None`` if unknown
@@ -565,7 +535,6 @@ class InferenceServer:
                     break
                 except DieFaultDetected as fault:
                     self.stats.record_fault_detected()
-                    self._m_faults.inc()
                     if retries >= self.max_fault_retries:
                         self._shed_batch_fault(batch, fault, dispatch_t,
                                                recovery)
@@ -574,17 +543,11 @@ class InferenceServer:
                     recovery = self._recover_die(fault, retries, recovery)
         except BaseException:
             self.stats.record_failure(len(batch))
-            self._m_failed.inc(len(batch))
             raise  # the batcher fails this batch's futures
-        if recovery is not None:
-            self.stats.record_recovery(len(batch))
-            self._m_recovered.inc(len(batch))
 
         done_t = time.monotonic()
         service_s = done_t - dispatch_t
         self.stats.record_batch(len(batch), service_s)
-        self._m_batches.inc()
-        self._m_batch_size.observe(len(batch))
         for index, (request, (output, engine_stats)) in enumerate(
                 zip(batch, results)):
             queue_wait_s = dispatch_t - request.enqueue_t
@@ -617,15 +580,6 @@ class InferenceServer:
                 spans=spans,
             )
             self.stats.record_request(stats)
-            self._m_completed.labels(request.model,
-                                     request.priority_class).inc()
-            self._m_latency.labels(request.model,
-                                   request.priority_class).observe(latency_s)
-            self._m_queue_wait.labels(
-                request.priority_class).observe(queue_wait_s)
-            self.obs.usage.record_request(
-                request.model, request.priority_class,
-                macs=engine_stats.macs, die_seconds=service_s)
             if tracing and request.trace_id:
                 self.obs.traces.put({
                     "trace_id": request.trace_id,
@@ -672,7 +626,7 @@ class InferenceServer:
         restore = guard.restore(engine, die_cache=self.die_cache)
         self.die_health.mark(model, layer, DIE_HEALTHY,
                              detail="replacement die programmed")
-        self._m_fault_recoveries.inc()
+        self.stats.record_recovery()
         receipt = {
             "model": model,
             "layer": layer,
@@ -715,7 +669,7 @@ class InferenceServer:
                 queue_wait_s=dispatch_t - request.enqueue_t,
                 deadline_s=request.deadline_s,
                 trace_id=request.trace_id)
-            self._record_shed(receipt)
+            self.record_shed(receipt)
             if not request.future.done():
                 try:
                     request.future.set_exception(RequestShed(receipt))

@@ -1,7 +1,7 @@
 """MetricsRegistry units: instruments, exposition, parser, thread safety.
 
 The registry is the substrate of ``GET /metrics``; these tests pin its
-contracts in isolation — counter monotonicity, gauge pull-functions,
+contracts in isolation — counter monotonicity, sourced families,
 histogram bucketing, the render/parse round trip (the same strict parser
 the wire smoke uses), the disabled no-op shape, and snapshot-consistent
 reads under concurrent mutation.
@@ -32,16 +32,6 @@ class TestCounter:
         with pytest.raises(ValueError, match="only go up"):
             counter.inc(-1)
 
-    def test_set_advances_to_monotone_total(self):
-        """The mirror pattern: scrape hooks advance a counter to a source
-        total; moving backwards surfaces the source's broken contract."""
-        counter = MetricsRegistry().counter("mirror_total")
-        counter.labels().set(7)
-        counter.labels().set(7)      # no-move is fine
-        counter.labels().set(12)
-        with pytest.raises(ValueError, match="decrease"):
-            counter.labels().set(11)
-
     def test_label_arity_is_checked(self):
         counter = MetricsRegistry().counter("c_total", labels=("a", "b"))
         with pytest.raises(ValueError, match="expected labels"):
@@ -57,15 +47,31 @@ class TestGauge:
         samples = parse_prometheus_text(reg.render())["depth"]["samples"]
         assert samples[("depth", ())] == 2.5
 
-    def test_set_function_reads_at_collect_time(self):
+    def test_source_reads_at_collect_time(self):
+        """A sourced family keeps no value of its own: every render calls
+        the source, for unlabelled (``()``) and labelled keys alike."""
         reg = MetricsRegistry()
         live = {"value": 1.0}
-        reg.gauge("live").set_function(lambda: live["value"])
-        assert parse_prometheus_text(
-            reg.render())["live"]["samples"][("live", ())] == 1.0
+        reg.gauge("live", source=lambda: {(): live["value"]})
+        reg.counter("events_total", labels=("event",),
+                    source=lambda: {"hit": live["value"] * 2,
+                                    ("miss",): 3})
+        families = parse_prometheus_text(reg.render())
+        assert families["live"]["samples"][("live", ())] == 1.0
         live["value"] = 9.0
-        assert parse_prometheus_text(
-            reg.render())["live"]["samples"][("live", ())] == 9.0
+        families = parse_prometheus_text(reg.render())
+        assert families["live"]["samples"][("live", ())] == 9.0
+        events = families["events_total"]["samples"]
+        assert events[("events_total", (("event", "hit"),))] == 18.0
+        assert events[("events_total", (("event", "miss"),))] == 3.0
+
+    def test_disabled_registry_never_calls_a_source(self):
+        def source():
+            raise AssertionError("a disabled registry read its source")
+
+        reg = MetricsRegistry(enabled=False)
+        reg.gauge("live", source=source)
+        assert reg.render() == ""
 
 
 class TestHistogram:

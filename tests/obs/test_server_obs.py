@@ -2,7 +2,7 @@
 
 The in-process half of the PR's wiring: every ``submit`` is traceable
 (ids are minted when absent), receipts carry span trees whose shape is
-pinned here, the usage meter bills what the engines actually did
+pinned here, ``/v1/usage`` bills what the engines actually did
 (``macs = conversions x fragment_size``), the scrape reflects the
 traffic, and the opt-in engine profiler attributes MVM time to dispatch
 tiers — all against both the fake-network tenants (fast, semantics) and

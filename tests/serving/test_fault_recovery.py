@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.obs import parse_prometheus_text
 from repro.serving.demo import post_relu_network as _post_relu_network
 from repro.reram import (ADCSpec, DeviceSpec, DieCache, ReRAMDevice,
                          paper_adc_bits)
@@ -25,6 +26,7 @@ from repro.runtime import run_network_serial
 from repro.serving import (DIE_HEALTHY, DIE_QUARANTINED, InferenceServer,
                            ModelRegistry, RequestShed, SHED_FAULT_RECOVERY)
 from repro.serving.demo import mixed_policy, tenant_models
+from repro.serving.routes import ReplicaBackend
 
 RESULT_TIMEOUT_S = 30.0   # bounded waits: a timeout IS a hung future
 
@@ -152,6 +154,30 @@ class TestRecoveryEndToEnd:
     def test_validation(self, network_case):
         with pytest.raises(ValueError):
             make_server(network_case, max_fault_retries=-1)
+
+    def test_recoveries_count_reprogram_cycles_on_every_surface(
+            self, network_case):
+        """Two dies flipped before one batch: the first forward trips
+        layer 0, the retry trips layer 2, the second retry completes.
+        That is one recovered request with ``retries == 2`` and two
+        re-program cycles — and ``/v1/stats``, ``/healthz`` and
+        ``/metrics`` must all read the same two."""
+        images = network_case[2]
+        injector = FaultInjector([stuck_at(layer="0"), stuck_at(layer="2")],
+                                 seed=5)
+        with make_server(network_case, fault_injector=injector,
+                         guard_coverage=1.0, max_batch=1) as server:
+            result = server.submit_async(images[0]).result(
+                timeout=RESULT_TIMEOUT_S)
+            stats = server.server_stats()
+            _, healthz = ReplicaBackend(server).healthz(False)
+            families = parse_prometheus_text(server.metrics_text())
+        assert result.stats.recovery["retries"] == 2
+        assert stats["requests_recovered"] == 1
+        assert stats["fault_recoveries"] == 2
+        assert healthz["dies"]["recoveries"] == 2
+        assert families["forms_fault_recoveries_total"]["samples"][
+            ("forms_fault_recoveries_total", ())] == 2
 
 
 class TestTwoTenantChaos:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.serving import (SHED_ADMISSION, SHED_DEADLINE, SHED_LATENCY_BOUND,
                            RequestStats, ServerStats, ShedReceipt)
+from repro.serving.stats import WINDOW
 
 
 def receipt(i, latency, wait=0.0, model="default", cls="default"):
@@ -63,18 +64,17 @@ class TestServerStats:
         assert "queue_depth" not in snap
 
     def test_distribution_window_is_bounded(self):
-        """Counters stay exact; percentile memory is capped at `window`."""
-        stats = ServerStats(window=8)
-        for i in range(50):
+        """Counters stay exact; percentile memory is capped at WINDOW."""
+        stats = ServerStats()
+        total = WINDOW + 42
+        for i in range(total):
             stats.record_request(receipt(i, 0.001 * (i + 1)))
         snap = stats.snapshot()
-        assert snap["requests_completed"] == 50
-        assert len(stats._latencies) == 8
-        # percentiles now reflect the most recent 8 requests only
-        recent = [0.001 * (i + 1) for i in range(42, 50)]
+        assert snap["requests_completed"] == total
+        assert len(stats._all.latencies) == WINDOW
+        # percentiles now reflect the most recent WINDOW requests only
+        recent = [0.001 * (i + 1) for i in range(42, total)]
         assert snap["latency_p50_s"] == float(np.percentile(recent, 50))
-        with pytest.raises(ValueError):
-            ServerStats(window=0)
 
     def test_failures_counted(self):
         stats = ServerStats()
@@ -157,12 +157,13 @@ class TestGroupedStats:
         assert snap["per_class"]["default"]["queue_wait_p95_s"] == 0.0
 
     def test_group_windows_are_bounded(self):
-        stats = ServerStats(window=4)
-        for i in range(20):
+        stats = ServerStats()
+        total = WINDOW + 16
+        for i in range(total):
             stats.record_request(receipt(i, 0.001 * (i + 1), cls="hi"))
         snap = stats.snapshot()
-        assert snap["per_class"]["hi"]["completed"] == 20
-        recent = [0.001 * (i + 1) for i in range(16, 20)]
+        assert snap["per_class"]["hi"]["completed"] == total
+        recent = [0.001 * (i + 1) for i in range(16, total)]
         assert snap["per_class"]["hi"]["latency_p50_s"] == float(
             np.percentile(recent, 50))
 
@@ -170,12 +171,14 @@ class TestGroupedStats:
 class TestConcurrentMutation:
     """ServerStats under fire: N threads mutate while a reader snapshots.
 
-    The scrape hooks added in the observability PR read these gauges from
-    outside the batcher thread, so the aggregator's one-lock design is now
+    ``/v1/stats``, ``/v1/usage`` and ``/metrics`` all read this one store
+    from outside the batcher thread, so its one-lock design is
     load-bearing for more than the dispatch loop.  Invariants pinned:
     snapshots are internally consistent (the shed total always equals the
-    sum of its by-reason and per-class decompositions, even mid-burst) and
-    the monotone counters never move backwards between successive reads.
+    sum of its by-reason and per-class decompositions, even mid-burst),
+    the usage rendering of the same instant agrees with the snapshot
+    (usage == served + shed by construction) and the monotone counters
+    never move backwards between successive reads.
     """
 
     THREADS = 6
@@ -183,7 +186,7 @@ class TestConcurrentMutation:
     REASONS = (SHED_DEADLINE, SHED_LATENCY_BOUND, SHED_ADMISSION)
 
     def test_snapshots_stay_consistent_and_monotone(self):
-        stats = ServerStats(window=64)
+        stats = ServerStats()
         start = threading.Barrier(self.THREADS + 1)
 
         def writer(worker_id):
@@ -207,8 +210,12 @@ class TestConcurrentMutation:
                     "batches_formed": 0}
         snapshots = 0
         while any(thread.is_alive() for thread in threads):
-            snap = stats.snapshot(queue_depth=0)
+            with stats._lock:     # re-entrant: two reads of one instant
+                snap = stats.snapshot(queue_depth=0)
+                usage = stats.usage()
             snapshots += 1
+            assert usage["totals"]["requests"] == snap["requests_completed"]
+            assert usage["totals"]["sheds"] == snap["requests_shed"]
             for key, floor in previous.items():
                 assert snap[key] >= floor, f"{key} moved backwards"
                 previous[key] = snap[key]
