@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs drift gate: the docs must exist, be reachable, and stay complete.
 
-Ten rules, each failing the check set (exit 1) the way a broken test
+Eleven rules, each failing the check set (exit 1) the way a broken test
 would:
 
 1. ``README.md`` and ``docs/architecture.md`` exist and mention every
@@ -44,6 +44,10 @@ would:
     and every ``/v1/usage`` cell field (``ServerStats().usage()``) in
     ``docs/observability.md`` — a count added to the one stats store
     cannot reach the wire undocumented.
+11. The set of ``"FORMS_..."`` string literals in ``src/**/*.py`` (the
+    environment variables the code reads) equals the set of backticked
+    ``FORMS_...`` names in the corpus — an undocumented variable and a
+    documented one that nothing reads both fail the gate.
 
 Rules 3-8 and 10 introspect the real parser (``repro.cli.build_parser``), the
 real wire contract (``repro.serving.wire.ERROR_CODES``), the real
@@ -217,6 +221,27 @@ def check_stats_fields(failures: list) -> int:
     return count
 
 
+#: a FORMS_* environment variable name as a quoted literal in code
+ENV_LITERAL = r"[\"'](FORMS_[A-Z0-9_]+)[\"']"
+#: ... and as a backticked name in prose
+ENV_DOCUMENTED = r"`(FORMS_[A-Z0-9_]+)`"
+
+
+def check_env_vars(failures: list) -> int:
+    """Rule 11: the FORMS_* variables in src/ are exactly the documented."""
+    read = set()
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        read.update(re.findall(ENV_LITERAL, read_if_exists(path)))
+    documented = set(re.findall(ENV_DOCUMENTED, docs_corpus()))
+    for name in sorted(read - documented):
+        failures.append(f"src/: environment variable `{name}` is read but "
+                        "documented nowhere in README.md or docs/")
+    for name in sorted(documented - read):
+        failures.append(f"docs corpus: `{name}` is documented but no code "
+                        "in src/ reads it")
+    return len(read)
+
+
 def tracked_files() -> list:
     """What git tracks; outside a checkout, what is on disk."""
     try:
@@ -266,6 +291,7 @@ def main() -> int:
     n_events = check_stream_events(failures)
     n_fields = check_stats_fields(failures)
     n_references = check_references(failures)
+    n_env = check_env_vars(failures)
     if failures:
         for failure in failures:
             print(f"ERROR: {failure}", file=sys.stderr)
@@ -275,8 +301,8 @@ def main() -> int:
           f"{len(subcommands)} subcommands, {len(serve_flags)} serve "
           f"flags, {n_codes} wire error codes, {n_backends} runtime "
           f"backends, {n_metrics} catalogued metrics, {n_events} "
-          f"stream event types and {n_fields} stats fields documented; "
-          f"{n_references} script and "
+          f"stream event types, {n_fields} stats fields and {n_env} "
+          f"environment variables documented; {n_references} script and "
           "document references resolve")
     return 0
 

@@ -17,8 +17,9 @@
 # 4. `check_docs.py` — the docs drift gate (packages, linked pages, CLI
 #    subcommands and serve flags, wire error codes, backends, metric
 #    catalog, SSE event types, every referenced script resolving to a
-#    tracked file, and every `/v1/stats` key and `/v1/usage` cell field
-#    of the ServerStats store documented).
+#    tracked file, every `/v1/stats` key and `/v1/usage` cell field of
+#    the ServerStats store documented, and the `FORMS_*` environment
+#    variables read in src/ exactly the ones documented).
 # 5. `benchmarks/e2e/run.py --seed 0 --seconds 3` — all six workloads of
 #    the end-to-end benchmark at a quarter length (about a minute).  The
 #    exit code gates bit-identity of every output against the serial

@@ -14,12 +14,15 @@ Runtime architecture
 The simulation stack splits scheduling from execution:
 
 * **Scheduler** — :meth:`repro.reram.engine.InSituLayerEngine.matvec_int`
-  builds a CSR-style job list from the *nonzero structure* of each
-  activation block (per-fragment ``live bits x live positions`` grids; the
-  per-fragment OR of the activation bits is the complete structure).
-  All-zero bit-planes, silent fragments and silent positions are never
-  materialized; tasks whose conversions provably cannot clip telescope
-  into one value-level GEMM.  The dense bit-plane kernel
+  runs the first rung of one ordered table, :data:`repro.reram.engine.
+  TIERS` (``dense_noise``, ``analog``, ``exact``, ``integer``), whose
+  predicate holds.  The sparse rungs build a CSR-style job list from the
+  *nonzero structure* of each activation block (per-fragment ``live bits
+  x live positions`` grids; the per-fragment OR of the activation bits
+  is the complete structure).  All-zero bit-planes, silent fragments and
+  silent positions are never materialized; tasks whose conversions
+  provably cannot clip telescope into one value-level GEMM.  The dense
+  bit-plane kernel
   (:meth:`matvec_int_dense`) and the cycle-by-cycle loop
   (:meth:`matvec_int_reference`) are retained as the scheduling baseline
   and the bit-exactness oracle.

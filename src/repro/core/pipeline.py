@@ -78,11 +78,6 @@ class FORMSConfig:
     prune_first_conv: bool = False       # first layer is tiny & fragile
     prune_last_filters: bool = False     # last layer's filters are the classes
     baseline_bits: int = 32
-    #: per-engine fused-kernel chunk budget for in-situ inference built from
-    #: this config (None defers to the process-wide resolution: override >
-    #: FORMS_FUSED_KERNEL_MAX_ELEMENTS env > optional autotune > default;
-    #: see repro.reram.engine.fused_kernel_max_elements)
-    fused_kernel_max_elements: Optional[int] = None
     # Phase toggles — used by ablations ("polarization only", "pruning only").
     do_prune: bool = True
     do_polarize: bool = True

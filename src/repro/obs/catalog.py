@@ -70,8 +70,8 @@ METRIC_CATALOG: Tuple[Dict, ...] = (
     # -- engine profiling (opt-in) --------------------------------------
     _spec("forms_engine_profile_seconds", "histogram",
           ("model", "layer", "tier"),
-          "Opt-in per-MVM wall time of matvec_int, by dispatch tier "
-          "(exact / integer / analog / dense / dense_noise).",
+          "Opt-in per-MVM wall time of matvec_int, by dispatch-ladder "
+          "rung (dense_noise / analog / exact / integer).",
           ENGINE_BUCKETS_S),
     # -- async front end ------------------------------------------------
     _spec("forms_async_connections", "gauge", (),

@@ -8,10 +8,13 @@ thread) an ``engine`` span — so traces show *which tier served which
 layer* and the BENCH story can attribute latency to kernel vs
 scheduling vs transport.
 
-The tier label is the engine's *dispatch-level* classification
-(:meth:`repro.reram.engine.InSituLayerEngine.dispatch_tier`): the tier
-the scheduler selects before size heuristics may still fall back to the
-dense executor for tiny fragments.  Profiling is read-only with respect
+The tier label is the rung of the engine's dispatch ladder
+(:data:`repro.reram.engine.TIERS`) that
+:meth:`~repro.reram.engine.InSituLayerEngine.dispatch_tier` picks and
+``matvec_int`` runs — one decision, so the label is the executor that
+was timed (inside the ``analog`` and ``integer`` rungs, blocks too small
+to amortize a sparse task run that rung on the dense executor).
+Profiling is read-only with respect
 to numerics — it brackets the dispatch with ``perf_counter()`` and
 touches no operand — and it never crosses into process-backend workers
 (the ``profile`` attribute is dropped from the engine's pickled state,

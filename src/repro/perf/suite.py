@@ -46,7 +46,8 @@ from ..core import FragmentGeometry, QuantizationSpec
 from ..core.polarization import compute_signs, project_polarization
 from ..nn import functional as F
 from ..reram import (ADCSpec, DeviceSpec, DieCache, ReRAMDevice,
-                     build_engine, fused_kernel_max_elements)
+                     build_engine)
+from ..reram.engine import FUSED_KERNEL_MAX_ELEMENTS
 from ..reram.inference import _signed_matvec
 from ..reram.nonideal import CellIV, WireModel
 from ..reram.nonideal_engine import NonidealEngine
@@ -277,7 +278,7 @@ def bench_insitu_network(workers: int, repeats: int = 3,
     dense_net, dense_engines = build_insitu_network(
         model, config, device, adc=adc, activation_bits=_ACTIVATION_BITS)
     for engine in dense_engines.values():
-        engine.sparse_enabled = False
+        engine.matvec_int = engine.matvec_int_dense
 
     with WorkerPool(workers, backend=backend) as pool:
         fused_out = infer_tiled(sparse_net, images, pool=pool,
@@ -434,7 +435,7 @@ def run_suite(smoke: bool = True, repeats: Optional[int] = None,
         "numpy": np.__version__,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "fused_kernel_max_elements": fused_kernel_max_elements(),
+        "fused_kernel_max_elements": FUSED_KERNEL_MAX_ELEMENTS,
         "backend": backend,
     }
     if (os.cpu_count() or 1) <= 1:

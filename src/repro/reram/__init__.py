@@ -13,11 +13,9 @@ from .bitslice import bit_slice, bit_unslice, num_slices, slice_weights
 from .converters import (ADCSpec, DACSpec, SampleHold, paper_adc_bits,
                          required_adc_bits)
 from .device import DeviceSpec, ReRAMDevice, codes_to_digital
-from .engine import (DieCache, EngineStats, InSituLayerEngine, SignIndicator,
-                     StatsScope, autotune_fused_kernel_max_elements,
-                     build_engine, effective_levels,
-                     fused_kernel_max_elements,
-                     set_fused_kernel_max_elements)
+from .engine import (TIERS, DieCache, EngineStats, InSituLayerEngine,
+                     SignIndicator, StatsScope, build_engine,
+                     effective_levels)
 from .faults import (DieFaultDetected, DieGuard, FaultEvent, FaultInjector,
                      InjectedDispatchError, fragment_sensitivity,
                      rank_engines_by_sensitivity)
@@ -42,9 +40,7 @@ __all__ = [
     "MappedLayer", "map_layer", "infer_signs", "SCHEMES",
     "InSituLayerEngine", "SignIndicator", "EngineStats", "StatsScope",
     "DieCache",
-    "build_engine", "effective_levels",
-    "fused_kernel_max_elements", "set_fused_kernel_max_elements",
-    "autotune_fused_kernel_max_elements",
+    "build_engine", "effective_levels", "TIERS",
     "apply_variation", "variation_study", "VariationResult", "clone_model",
     "VTEAMParams", "VTEAMCell", "ProgramScheme", "ProgramResult",
     "program_level", "program_codes", "device_spec_from_vteam",

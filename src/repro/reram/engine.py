@@ -33,6 +33,12 @@ fused contraction (a single GEMM on the integer tiers), chunked to the
 kernel cache budget; independent chunks can fan out across a
 :class:`repro.runtime.WorkerPool`.
 
+Which kernel runs is one ordered table, :data:`TIERS`: the rungs
+``dense_noise``, ``analog``, ``exact`` and ``integer``, each a name, an
+applicability predicate and an executor.
+:meth:`InSituLayerEngine.dispatch_tier` picks the first rung whose
+predicate holds; the executors never re-derive that choice.
+
 The previous dense decomposition — the whole block expanded into a
 ``(bits, n_frag, m, positions)`` bit-plane tensor with (bit-plane, fragment)
 masking only — survives as :meth:`matvec_int_dense` (the scheduling
@@ -44,12 +50,11 @@ grid), and the original cycle-by-cycle loop survives as
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -60,108 +65,22 @@ from .converters import ADCSpec, DACSpec, SampleHold, required_adc_bits
 from .device import ReRAMDevice
 from .mapping import MappedLayer, map_layer
 
-#: default per-kernel-call element budget of the fused bit-plane contraction
+#: per-kernel-call element budget of the fused bit-plane contraction
 #: (elements of the ``(jobs, positions, cols, slices)`` current tensor).
 #: Chunking along the jobs/positions axes bounds peak memory *and* keeps each
 #: einsum -> pedestal -> ADC -> recombine pipeline stage cache-resident;
 #: 2**18 elements (2 MiB of float64) measures fastest on the elementwise-
-#: bound analog path.  Changing it never changes any result.  Resolution
-#: order at kernel time: per-engine ``kernel_max_elements`` >
-#: :func:`set_fused_kernel_max_elements` override > the
-#: ``FORMS_FUSED_KERNEL_MAX_ELEMENTS`` environment variable > a cached
-#: per-machine autotune (when ``FORMS_FUSED_KERNEL_AUTOTUNE`` is truthy) >
-#: this module default.
+#: bound analog path.  Changing it never changes any result.
 FUSED_KERNEL_MAX_ELEMENTS = 1 << 18
-
-#: environment knobs of the kernel chunk budget
-FUSED_KERNEL_ENV = "FORMS_FUSED_KERNEL_MAX_ELEMENTS"
-FUSED_KERNEL_AUTOTUNE_ENV = "FORMS_FUSED_KERNEL_AUTOTUNE"
-
-_kernel_override: Optional[int] = None
-_kernel_autotuned: Optional[int] = None
 
 #: minimum average per-fragment grid size (elements of the conversion
 #: tensor) for the CSR scheduler to win over the dense masked kernel: below
 #: this, per-task Python overhead outweighs the skipped conversions (a
 #: many-fragment, few-position layer — e.g. a classifier head on a small
-#: batch — is the canonical case) and ``matvec_int`` falls back to the
-#: dense path.  Pure dispatch heuristic: results are bit-identical either
-#: way.  Per-engine override: ``sparse_min_task_elements``.
+#: batch — is the canonical case) and the ``analog`` / ``integer`` rungs
+#: run the dense executor instead.  Pure executor choice: results are
+#: bit-identical either way.
 SPARSE_MIN_TASK_ELEMENTS = 1 << 12
-
-
-def set_fused_kernel_max_elements(value: Optional[int]) -> None:
-    """Process-wide override of the kernel chunk budget (``None`` resets).
-
-    Takes precedence over the environment variable and the autotuner but
-    not over a per-engine ``kernel_max_elements``.
-    """
-    global _kernel_override
-    if value is not None and value < 1:
-        raise ValueError("kernel budget must be >= 1 element")
-    _kernel_override = value
-
-
-def autotune_fused_kernel_max_elements(
-        candidates: Sequence[int] = (1 << 15, 1 << 16, 1 << 17, 1 << 18,
-                                     1 << 19, 1 << 20),
-        repeats: int = 3) -> int:
-    """Measure the fastest chunk budget for this machine and return it.
-
-    Runs a representative fused-kernel pipeline (bit-plane contraction,
-    pedestal correction, ADC rounding) over one fixed workload, *chunked
-    along the jobs axis exactly as the engine chunks it* at each candidate
-    budget — the budget only moves work between chunks, so the minimum
-    wall clock identifies the cache-resident chunk size.  Every call
-    measures afresh; the process-wide cache lives in
-    :func:`fused_kernel_max_elements` (the "quick per-machine autotune at
-    first use" behind ``FORMS_FUSED_KERNEL_AUTOTUNE=1``).
-    """
-    rng = np.random.default_rng(0)
-    m, cols, slices, positions = 8, 16, 4, 128
-    per_job = positions * cols * slices
-    jobs = max(1, (1 << 21) // per_job)       # fixed ~2^21-element workload
-    drive = rng.integers(0, 2, size=(jobs, m, positions)).astype(np.float64)
-    cond = rng.uniform(1e-7, 1e-5, size=(jobs, m, cols, slices))
-    active = drive.sum(axis=1)
-    best_budget, best_time = max(candidates), float("inf")
-    for budget in candidates:
-        chunk = max(1, budget // per_job)
-        elapsed = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for lo in range(0, jobs, chunk):
-                hi = lo + chunk
-                currents = np.matmul(
-                    drive[lo:hi].transpose(0, 2, 1),
-                    cond[lo:hi].reshape(-1, m, cols * slices)
-                ).reshape(-1, positions, cols, slices)
-                analog = (currents
-                          - 1e-8 * active[lo:hi, :, None, None]) * 1e6
-                np.clip(np.rint(analog), 0, 15)
-            elapsed = min(elapsed, time.perf_counter() - start)
-        if elapsed < best_time:
-            best_budget, best_time = budget, elapsed
-    return int(best_budget)
-
-
-def fused_kernel_max_elements() -> int:
-    """The kernel chunk budget in effect for engines without a local value."""
-    global _kernel_autotuned
-    if _kernel_override is not None:
-        return _kernel_override
-    env = os.environ.get(FUSED_KERNEL_ENV, "").strip()
-    if env:
-        value = int(env)
-        if value < 1:
-            raise ValueError(f"{FUSED_KERNEL_ENV} must be >= 1, got {value}")
-        return value
-    if os.environ.get(FUSED_KERNEL_AUTOTUNE_ENV, "").strip().lower() in (
-            "1", "true", "yes", "on"):
-        if _kernel_autotuned is None:
-            _kernel_autotuned = autotune_fused_kernel_max_elements()
-        return _kernel_autotuned
-    return FUSED_KERNEL_MAX_ELEMENTS
 
 
 class SignIndicator:
@@ -223,11 +142,6 @@ class EngineStats:
     macs: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   init=False, repr=False, compare=False)
-
-    @property
-    def jobs_computed(self) -> int:
-        """Backward-compatible alias of ``jobs_scheduled``."""
-        return self.jobs_scheduled
 
     @property
     def saturation_fraction(self) -> float:
@@ -434,6 +348,31 @@ class DieCache:
         self.__init__(maxsize=state.get("maxsize", 64))
 
 
+class _IdealConstants(NamedTuple):
+    """Code-derived constants of the ``exact`` and ``integer`` rungs."""
+
+    #: worst per-conversion partial sum (every input bit on): when it fits
+    #: the ADC, clipping is provably impossible — the ``exact`` predicate
+    headroom: int
+    #: per-fragment code planes as one float64 GEMM operand, ``(n_frag, m,
+    #: cols * S)`` with the dual scheme's planes stacked along the slice
+    #: axis (their signs live in the recombination weights).  Exact: every
+    #: conversion sums at most ``m`` products of small non-negative ints.
+    codes_f: np.ndarray
+    #: per-fragment effective weights ``(n_frag, m, cols)`` — slice place
+    #: values and plane signs folded, fragment signs not — as float64 and
+    #: int64; ``eff_exact`` says the float64 task product is exact (worst
+    #: partial sum below 2**53)
+    eff_f: np.ndarray
+    eff_i: np.ndarray
+    eff_exact: bool
+    #: the same with fragment signs folded, as one ``(padded_rows, cols)``
+    #: matrix: the ``exact`` rung's telescoped operand
+    stack_f: np.ndarray
+    stack_i: np.ndarray
+    stack_exact: bool
+
+
 class InSituLayerEngine:
     """Computes ``levels.T @ x`` for one mapped layer via crossbar simulation.
 
@@ -452,29 +391,18 @@ class InSituLayerEngine:
     die_cache:
         Optional :class:`DieCache`; identical ``(codes, device)`` pairs then
         reuse one programmed die instead of re-programming per engine.
-    kernel_max_elements:
-        Per-engine kernel chunk budget; ``None`` defers to the process-wide
-        resolution (:func:`fused_kernel_max_elements`).
     """
 
     def __init__(self, mapped: MappedLayer, device: ReRAMDevice,
                  adc: Optional[ADCSpec] = None, activation_bits: int = 16,
-                 die_cache: Optional[DieCache] = None,
-                 kernel_max_elements: Optional[int] = None):
+                 die_cache: Optional[DieCache] = None):
         if activation_bits < 1:
             raise ValueError("activation_bits must be >= 1")
-        if kernel_max_elements is not None and kernel_max_elements < 1:
-            raise ValueError("kernel_max_elements must be >= 1")
         self.mapped = mapped
         self.device = device
         self.activation_bits = activation_bits
-        self.kernel_max_elements = kernel_max_elements
-        #: scheduling knobs of :meth:`matvec_int` — ``sparse_enabled``
-        #: selects the CSR job scheduler (ablation/benchmark knob; results
-        #: are bit-identical either way), ``pool`` fans independent job
-        #: chunks of one MVM across a :class:`repro.runtime.WorkerPool`.
-        self.sparse_enabled = True
-        self.sparse_min_task_elements = SPARSE_MIN_TASK_ELEMENTS
+        #: optional :class:`repro.runtime.WorkerPool` that fans independent
+        #: job chunks of one MVM out (see :meth:`matvec_int`).
         self.pool = None
         spec = mapped.spec
         geometry = mapped.geometry
@@ -521,14 +449,9 @@ class InSituLayerEngine:
             float(self.adc.max_code)
             * float(np.abs(self._plane_place_f).sum())
             * float(np.int64(1) << activation_bits)) < float(1 << 53)
-        # Constants of the exact-matmul shortcut and the sparse integer
-        # kernel, built lazily on first dispatch: engines that can never
-        # take those tiers (noisy die, analog physics) must not pay for
-        # them per construction — that would undo exactly the setup cost
-        # DieCache eliminates across sweeps.
-        self._exact_tier: Optional[Tuple[int, np.ndarray, np.ndarray, bool]] = None
-        self._codes_float: Optional[np.ndarray] = None
-        self._eff_stack: Optional[Tuple[np.ndarray, np.ndarray, bool]] = None
+        # Constants of the ideal rungs, built lazily on first dispatch
+        # (:meth:`_ideal_constants`).
+        self._ideal: Optional[_IdealConstants] = None
         self._init_lock = threading.Lock()
         #: optional online checksum guard (:class:`repro.reram.faults.
         #: DieGuard`); when set, every MVM audits the programmed die's
@@ -549,18 +472,15 @@ class InSituLayerEngine:
     # Online die maintenance (the live-recovery path of repro.reram.faults)
     # ------------------------------------------------------------------
     def reset_plane_caches(self) -> None:
-        """Invalidate the lazily-built code-derived tier constants.
+        """Invalidate the lazily-built code-derived rung constants.
 
         Must be called after any mutation of ``mapped.code_planes`` /
-        ``conductance`` (an online die fault or swap): the exact-matmul
-        tier, the sparse integer kernel's code stack and the effective
-        weight stack are all folded from the codes at first dispatch and
-        would otherwise keep serving the stale die.
+        ``conductance`` (an online die fault or swap): the ideal rungs'
+        constants are folded from the codes at first dispatch and would
+        otherwise keep serving the stale die.
         """
         with self._init_lock:
-            self._exact_tier = None
-            self._codes_float = None
-            self._eff_stack = None
+            self._ideal = None
 
     def swap_planes(self, code_planes: Dict[str, np.ndarray],
                     conductance: Dict[str, np.ndarray]) -> None:
@@ -598,7 +518,7 @@ class InSituLayerEngine:
         worker pool is a parent-process object and stays behind, and so
         does the checksum guard — fault detection audits the parent's
         dispatch path, and the serving layer keeps fault-injected models
-        on the thread backend.  The lazily-built code-derived tier
+        on the thread backend.  The lazily-built code-derived rung
         constants are dropped too: workers rebuild them on first dispatch
         from the shipped codes, which keeps the payload to exactly the
         state that determines the bits.
@@ -608,106 +528,54 @@ class InSituLayerEngine:
         state["pool"] = None
         state["guard"] = None
         state["profile"] = None
-        state["_exact_tier"] = None
-        state["_codes_float"] = None
-        state["_eff_stack"] = None
+        state["_ideal"] = None
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._init_lock = threading.Lock()
 
-    def _exact_tier_constants(self) -> Tuple[int, np.ndarray, np.ndarray, bool]:
-        """(plane headroom, effective stacks, matmul-exactness) — cached.
+    def _ideal_constants(self) -> _IdealConstants:
+        """The ideal rungs' code-derived constants — built once, cached.
 
-        *Headroom* is the worst-case per-conversion partial sum (all input
-        bits on); when it fits the ADC, clipping is provably impossible.
-        The *effective weight stack* folds slice recombination, fragment
-        signs and plane signs into one (padded_rows, cols) integer matrix,
-        with a float64 copy for the BLAS product — exact while every
-        partial sum is an integer below 2**53, else the int64 product runs.
+        Built on first dispatch, not per construction: engines that never
+        reach an ideal rung (noisy die, analog physics) must not pay for
+        them — that would undo exactly the setup cost DieCache eliminates
+        across sweeps.
         """
-        cached = self._exact_tier
+        cached = self._ideal
         if cached is not None:
             return cached
-        # Fetch the shared effective-weight stack before taking the lock
-        # (plain Lock, not re-entrant).
-        _, eff_frag, _ = self._eff_stack_constants()
         with self._init_lock:
-            if self._exact_tier is None:
+            if self._ideal is None:
                 mapped = self.mapped
                 headroom = max(int(codes.sum(axis=1).max(initial=0))
                                for codes in mapped.code_planes.values())
-                if self._frag_signs_arr is not None:
-                    eff = eff_frag * self._frag_signs_arr[:, None, :]
-                else:
-                    eff = eff_frag
-                stack_int = eff.reshape(-1, mapped.geometry.cols)
-                worst = (mapped.geometry.padded_rows
-                         * int(np.abs(eff).max(initial=0))
-                         * ((1 << self.activation_bits) - 1))
-                self._exact_tier = (headroom, stack_int.astype(np.float64),
-                                    stack_int, worst < (1 << 53))
-            return self._exact_tier
-
-    def _codes_float_stack(self) -> np.ndarray:
-        """Per-fragment code planes as one float64 GEMM operand — cached.
-
-        Shape ``(n_frag, m, cols * slices * n_planes)``: the dual scheme's
-        positive and negative planes ride the same contraction, stacked
-        along the trailing slice axis (their signs live in the recombination
-        weights, not here).  Exact: every per-conversion dot product is a
-        sum of at most ``m`` products of small non-negative integers, far
-        below float64's 2**53 integer range.
-        """
-        cached = self._codes_float
-        if cached is not None:
-            return cached
-        with self._init_lock:
-            if self._codes_float is None:
-                mapped = self.mapped
                 stacked = np.concatenate(
                     [mapped.code_planes[name] for name, _ in self._plane_terms],
                     axis=-1)                       # (n_frag, m, cols, S)
                 n_frag, m = stacked.shape[:2]
-                self._codes_float = np.ascontiguousarray(
-                    stacked.reshape(n_frag, m, -1).astype(np.float64))
-            return self._codes_float
-
-    def _eff_stack_constants(self) -> Tuple[np.ndarray, np.ndarray, bool]:
-        """Per-fragment effective weights for the telescoped task tier.
-
-        ``(eff_float, eff_int, matmul_exact)`` where ``eff`` is
-        ``(n_frag, m, cols)`` — slice place values and plane signs folded,
-        fragment signs *not* (the task applies them at the end).  When no
-        conversion of a task can clip, the bit-serial pipeline telescopes
-        into ``values.T @ eff`` for that task; ``matmul_exact`` says the
-        float64 product is exact (worst partial sum below 2**53).
-        """
-        cached = self._eff_stack
-        if cached is not None:
-            return cached
-        with self._init_lock:
-            if self._eff_stack is None:
-                mapped = self.mapped
-                eff = np.zeros(
-                    mapped.code_planes[self._plane_terms[0][0]].shape[:3],
-                    dtype=np.int64)
+                eff = np.zeros(stacked.shape[:3], dtype=np.int64)
                 for plane, sign in self._plane_terms:
                     eff += sign * (mapped.code_planes[plane]
                                    * self._place).sum(axis=-1)
-                worst = (mapped.geometry.fragment_size
-                         * int(np.abs(eff).max(initial=0))
+                # worst |partial sum| of one effective weight over all inputs
+                worst = (int(np.abs(eff).max(initial=0))
                          * ((1 << self.activation_bits) - 1))
-                self._eff_stack = (eff.astype(np.float64), eff,
-                                   worst < (1 << 53))
-            return self._eff_stack
-
-    def _kernel_budget(self) -> int:
-        """Chunk budget in effect for this engine's kernel calls."""
-        if self.kernel_max_elements is not None:
-            return self.kernel_max_elements
-        return fused_kernel_max_elements()
+                stack = (eff if self._frag_signs_arr is None
+                         else eff * self._frag_signs_arr[:, None, :]
+                         ).reshape(-1, mapped.geometry.cols)
+                self._ideal = _IdealConstants(
+                    headroom=headroom,
+                    codes_f=np.ascontiguousarray(
+                        stacked.reshape(n_frag, m, -1).astype(np.float64)),
+                    eff_f=eff.astype(np.float64), eff_i=eff,
+                    eff_exact=(mapped.geometry.fragment_size * worst
+                               < (1 << 53)),
+                    stack_f=stack.astype(np.float64), stack_i=stack,
+                    stack_exact=(mapped.geometry.padded_rows * worst
+                                 < (1 << 53)))
+            return self._ideal
 
     # ------------------------------------------------------------------
     # Shared signal-path pieces
@@ -840,19 +708,12 @@ class InSituLayerEngine:
         return 1
 
     def _signal_path_ideal(self) -> bool:
-        """True when every conversion provably equals the integer dot product.
-
-        Requires a variation-free die, no analog physics, and a
-        ``_job_currents`` that is known to reduce to the ideal read.  The
-        float signal path then round-trips integers with error orders of
-        magnitude below the ADC's rounding threshold, so the integer
-        shortcut tiers produce bit-identical results.
-        """
-        if self.device.variation_sigma != 0.0 or self._analog_model_active():
-            return False
-        impl = type(self)._job_currents
-        return (impl is InSituLayerEngine._job_currents
-                or getattr(impl, "_ideal_when_inactive", False))
+        """True when every conversion provably equals the integer dot product
+        (a variation-free die, no analog physics): the float signal path
+        then round-trips integers far below the ADC's rounding threshold,
+        so the ideal rungs produce its bits."""
+        return (self.device.variation_sigma == 0.0
+                and not self._analog_model_active())
 
     def _input_digest(self, stacked: np.ndarray) -> int:
         """Content hash of one activation block — the per-call component of
@@ -902,34 +763,17 @@ class InSituLayerEngine:
         return [wrapped(task) for task in tasks]
 
     # ------------------------------------------------------------------
-    # Production path: sparse CSR job scheduler
+    # The dispatch ladder (TIERS) and its executors
     # ------------------------------------------------------------------
     def matvec_int(self, x_int: np.ndarray, pool=None) -> np.ndarray:
         """Integer MVM: returns ``(cols, positions)`` given ``(rows, positions)``.
 
         ``x_int`` holds unsigned ``activation_bits``-bit integers in im2col
         layout, rows already permuted to the layer's polarization policy.
-
-        The kernel schedules only the *nonzero structure* of the block: a
-        CSR-style job list of ``(fragment, live bits x live positions)``
-        grids built from the per-fragment OR of the activation bits.
-        All-zero bit-planes, silent fragments and silent positions are never
-        materialized, let alone evaluated.  Three tiers share the stats
-        accounting and are all bit-exact against
-        :meth:`matvec_int_reference` — the anchor property:
-
-        * **exact matmul** — ideal signal path *and* an ADC wide enough that
-          clipping is impossible: the bit-serial pipeline telescopes into
-          one matmul against the pre-combined effective weight stack,
-          compacted to the live positions;
-        * **integer kernel** — ideal signal path with a clipping ADC: each
-          fragment's live grid is one exact GEMM, clipped/counted exactly
-          as the ADC would;
-        * **analog kernel** — any deterministic analog non-ideality
-          (variation, IR drop): the full float signal path over the live
-          grid.  Read *noise* converts even silent fragments, so it forces
-          the dense grid (:meth:`matvec_int_dense`) with deterministic
-          per-job noise substreams.
+        Runs the executor of the :data:`TIERS` rung that
+        :meth:`dispatch_tier` picks.  Every rung is bit-exact against
+        :meth:`matvec_int_reference` — the anchor property — and shares its
+        stats accounting.
 
         ``pool`` (or the engine's ``pool`` attribute) fans independent job
         chunks across ``repro.runtime`` workers; results and stats are
@@ -938,61 +782,109 @@ class InSituLayerEngine:
         guard = self.guard
         if guard is not None:
             guard.check(self)
+        tier = self.dispatch_tier()
+        run = _EXECUTORS[tier]
         profile = self.profile
         if profile is None:
-            if not self.sparse_enabled or self._conversion_noise_active():
-                return self._matvec_dense(self._prepare(x_int), pool)
-            return self._matvec_sparse(self._prepare(x_int), pool)
-        # Profiling brackets the identical dispatch with two perf_counter
-        # reads; the tier label is resolved before timing starts so label
-        # classification never lands inside the measured window.
-        tier = self.dispatch_tier()
+            return run(self, self._prepare(x_int), pool, tier)
+        # Profiling brackets the same executor with two perf_counter reads;
+        # the rung is chosen before timing starts.
         start = time.perf_counter()
-        if tier in ("dense", "dense_noise"):
-            out = self._matvec_dense(self._prepare(x_int), pool)
-        else:
-            out = self._matvec_sparse(self._prepare(x_int), pool)
+        out = run(self, self._prepare(x_int), pool, tier)
         profile.record(self, tier, time.perf_counter() - start)
         return out
 
     def dispatch_tier(self) -> str:
-        """Which kernel tier :meth:`matvec_int` selects right now.
+        """The first :data:`TIERS` rung whose predicate holds right now.
 
-        ``dense_noise`` (read noise forces the dense grid), ``dense``
-        (scheduler disabled), ``exact`` (ideal path, non-clipping ADC:
-        the telescoped matmul), ``integer`` (ideal path, clipping ADC)
-        or ``analog`` (deterministic non-ideality).  Dispatch-level:
-        per-fragment size heuristics inside the sparse tiers may still
-        run tiny grids through the dense executor.
+        The one place a rung is chosen.  Inside the ``analog`` and
+        ``integer`` rungs, blocks whose per-fragment grids are too small to
+        amortize a task still run the dense executor
+        (:data:`SPARSE_MIN_TASK_ELEMENTS`) under the same rung.
         """
-        if self._conversion_noise_active():
-            return "dense_noise"
-        if not self.sparse_enabled:
-            return "dense"
-        if not self._signal_path_ideal():
-            return "analog"
-        if self._exact_tier_constants()[0] <= self.adc.max_code:
-            return "exact"
-        return "integer"
+        return next(name for name, applies, _ in TIERS if applies(self))
 
     def matvec_int_dense(self, x_int: np.ndarray, pool=None) -> np.ndarray:
-        """The dense bit-plane kernel (the pre-scheduler production path).
+        """The dense bit-plane executor under the rung of :meth:`dispatch_tier`.
 
         Decomposes the whole block into a ``(bits, n_frag, m, positions)``
-        bit-plane tensor and masks (bit-plane, fragment) jobs only —
-        retained as the scheduling baseline of the perf suite and as the
-        forced path whenever read noise makes zero-skipping lossy.
+        bit-plane tensor and masks (bit-plane, fragment) jobs only — the
+        scheduling baseline of the perf suite, and the executor of the
+        ``dense_noise`` rung, where read noise makes zero-skipping lossy.
         Bit-identical to :meth:`matvec_int`.
         """
         guard = self.guard
         if guard is not None:
             guard.check(self)
-        return self._matvec_dense(self._prepare(x_int), pool)
+        return self._matvec_dense(self._prepare(x_int), pool,
+                                  self.dispatch_tier())
 
-    def _matvec_sparse(self, stacked: np.ndarray, pool=None) -> np.ndarray:
-        geometry = self.mapped.geometry
+    def _schedule(self, stacked: np.ndarray, n_bits: int):
+        """CSR construction for one block with ``n_bits`` bit-planes.
+
+        The OR over each fragment's rows is the complete nonzero structure
+        — bit ``b`` of ``bits_or[f, p]`` says whether the (b, f) job has
+        any live drive at position p — so no dense (bits, n_frag, m,
+        positions) tensor is ever built.  Returns ``(bits_or, job_live,
+        local)``: ``job_live`` is (bits, n_frag), ``local`` the call's
+        stats with cycles and job counts booked.
+        """
+        n_planes = len(self._plane_terms)
+        bits_or = np.bitwise_or.reduce(stacked, axis=1)    # (n_frag, positions)
+        frag_or = np.bitwise_or.reduce(bits_or, axis=1)    # (n_frag,)
+        shifts = np.arange(n_bits, dtype=np.int64)
+        job_live = ((frag_or[None, :] >> shifts[:, None]) & 1).astype(bool)
+        n_jobs = int(np.count_nonzero(job_live))
+        local = EngineStats()
+        local.cycles_fed += n_bits
+        local.jobs_scheduled += n_jobs * n_planes
+        local.jobs_skipped += (job_live.size - n_jobs) * n_planes
+        return bits_or, job_live, local
+
+    def _telescoped(self, stacked: np.ndarray) -> np.ndarray:
+        """``(cols, positions)`` of a block no conversion of which can clip.
+
+        Slice recombination, bit recombination, fragment signs and plane
+        signs then telescope into one matmul against the signed effective
+        stack: in float64 BLAS while every partial sum is an integer below
+        2**53, else as an int64 contraction.
+        """
+        ideal = self._ideal_constants()
+        flat = stacked.reshape(-1, stacked.shape[-1])
+        if ideal.stack_exact:
+            return np.rint(ideal.stack_f.T @ flat.astype(np.float64)
+                           ).astype(np.int64)
+        return ideal.stack_i.T @ flat
+
+    def _matvec_exact(self, stacked: np.ndarray, pool, tier: str) -> np.ndarray:
+        """The ``exact`` rung: :meth:`_telescoped` over the live positions."""
+        positions = stacked.shape[-1]
+        cols = self.mapped.geometry.cols
+        n_planes = len(self._plane_terms)
+        out = np.zeros((cols, positions), dtype=np.int64)
+        n_bits = int(stacked.max(initial=0)).bit_length()
+        if n_bits == 0:
+            return self._offset_correction(stacked, out)
+        bits_or, job_live, local = self._schedule(stacked, n_bits)
+        n_jobs = int(np.count_nonzero(job_live))
+        total_pairs = job_live.size * positions
+        live_p = bits_or.any(axis=0)                       # (positions,)
+        k = int(np.count_nonzero(live_p))
+        local.pairs_scheduled += n_jobs * k * n_planes
+        local.pairs_skipped += (total_pairs - n_jobs * k) * n_planes
+        local.conversions += total_pairs * n_planes * cols * self.mapped.slices
+        if k == positions:
+            out = self._telescoped(stacked)
+        elif k:
+            out[:, live_p] = self._telescoped(stacked[:, :, live_p])
+        self._commit_stats(local)
+        return self._offset_correction(stacked, out)
+
+    def _matvec_sparse(self, stacked: np.ndarray, pool, tier: str) -> np.ndarray:
+        """The ``analog`` and ``integer`` rungs: one task per (fragment,
+        position chunk), each a ``live bits x live positions`` grid."""
         n_frag, m, positions = stacked.shape
-        cols = geometry.cols
+        cols = self.mapped.geometry.cols
         slices = self.mapped.slices
         n_planes = len(self._plane_terms)
 
@@ -1000,98 +892,43 @@ class InSituLayerEngine:
         n_bits = int(stacked.max(initial=0)).bit_length()
         if n_bits == 0:
             return self._offset_correction(stacked, out)
+        bits_or, job_live, local = self._schedule(stacked, n_bits)
+        total_pairs = job_live.size * positions
 
-        # CSR construction: the OR over each fragment's rows is the complete
-        # nonzero structure — bit b of ``bits_or[f, p]`` says whether the
-        # (b, f) job has any live drive at position p.  No dense
-        # (bits, n_frag, m, positions) tensor is ever built.
-        bits_or = np.bitwise_or.reduce(stacked, axis=1)    # (n_frag, positions)
-        shifts = np.arange(n_bits, dtype=np.int64)
-        live = ((bits_or[None, :, :] >> shifts[:, None, None]) & 1
-                ).astype(bool)                             # (bits, n_frag, pos)
-        job_live = live.any(axis=2)                        # (bits, n_frag)
-        n_jobs = int(np.count_nonzero(job_live))
-        total_jobs = n_bits * n_frag
-        total_pairs = total_jobs * positions
+        # When the average per-fragment grid is too small to amortize a
+        # kernel task (many fragments, few positions), the dense masked
+        # kernel is the faster executor for the same rung.
+        live_bits_per_frag = job_live.sum(axis=0)          # (n_frag,)
+        live_pos_per_frag = (bits_or != 0).sum(axis=1)     # (n_frag,)
+        n_live_frag = int(np.count_nonzero(live_pos_per_frag))
+        scheduled = int((live_bits_per_frag * live_pos_per_frag).sum())
+        if (scheduled * cols * slices * n_planes / max(1, n_live_frag)
+                < SPARSE_MIN_TASK_ELEMENTS):
+            return self._matvec_dense(stacked, pool, tier)
 
-        # Hybrid dispatch: when the average per-fragment grid is too small
-        # to amortize a kernel task (many fragments, few positions), the
-        # dense masked kernel is the faster executor for the same schedule.
-        # A pure dispatch decision — results are bit-identical.  Skipped
-        # for the exact-matmul tier, which has no per-fragment tasks.
-        ideal = self._signal_path_ideal()
-        exact_tier = (ideal and self._exact_tier_constants()[0]
-                      <= self.adc.max_code)
-        if not exact_tier:
-            live_bits_per_frag = job_live.sum(axis=0)      # (n_frag,)
-            live_pos_per_frag = (bits_or != 0).sum(axis=1)  # (n_frag,)
-            n_live_frag = int(np.count_nonzero(live_pos_per_frag))
-            scheduled = int((live_bits_per_frag * live_pos_per_frag).sum())
-            avg_task = (scheduled * cols * slices * n_planes
-                        / max(1, n_live_frag))
-            # sparse_min_task_elements == 0 disables the fallback (tests
-            # use it to pin the CSR path).
-            if avg_task < self.sparse_min_task_elements:
-                return self._matvec_dense(stacked, pool)
-
-        local = EngineStats()
-        local.cycles_fed += n_bits
-        local.jobs_scheduled += n_jobs * n_planes
-        local.jobs_skipped += (total_jobs - n_jobs) * n_planes
-
-        if exact_tier:
-            # Exact-matmul tier: no conversion can clip (the worst-case
-            # fragment partial sum fits the ADC), so slice recombination,
-            # bit recombination, fragment signs and plane signs telescope
-            # into one matmul — over the live positions only.
-            _, stack_f, stack_i, matmul_exact = self._exact_tier_constants()
-            live_p = bits_or.any(axis=0)                   # (positions,)
-            k = int(np.count_nonzero(live_p))
-            local.pairs_scheduled += n_jobs * k * n_planes
-            local.pairs_skipped += (total_pairs - n_jobs * k) * n_planes
-            local.conversions += total_pairs * n_planes * cols * slices
-            if k:
-                flat = (stacked[:, :, live_p] if k < positions else stacked
-                        ).reshape(n_frag * m, k)
-                if matmul_exact:
-                    sub = np.rint(stack_f.T @ flat.astype(np.float64)
-                                  ).astype(np.int64)
-                else:  # exactness bound exceeded: integer contraction
-                    sub = stack_i.T @ flat
-                if k < positions:
-                    out[:, live_p] = sub
-                else:
-                    out = sub
-            self._commit_stats(local)
-            return self._offset_correction(stacked, out)
-
-        # Kernel tiers: one task per (fragment, position chunk), each a
-        # ``live bits x live positions`` grid.  Tasks are independent —
-        # they touch disjoint (fragment, position) conversions — so they
-        # can fan out across workers; accumulation happens at join.
-        budget = self._kernel_budget()
+        # Tasks are independent — they touch disjoint (fragment, position)
+        # conversions — so they can fan out across workers; accumulation
+        # happens at join.
         mem_factor = self._job_memory_factor(m)
         tasks: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        scheduled_pairs = 0
         for f in range(n_frag):
             lp = np.nonzero(bits_or[f])[0]
             if lp.size == 0:
                 continue
             lb = np.nonzero(job_live[:, f])[0]
-            scheduled_pairs += lb.size * lp.size
             per_pos = max(1, lb.size * n_planes * cols * slices * mem_factor)
-            chunk = max(1, budget // per_pos)
+            chunk = max(1, FUSED_KERNEL_MAX_ELEMENTS // per_pos)
             for start in range(0, lp.size, chunk):
                 tasks.append((f, lb, lp[start:start + chunk]))
-        local.pairs_scheduled += scheduled_pairs * n_planes
-        local.pairs_skipped += (total_pairs - scheduled_pairs) * n_planes
+        local.pairs_scheduled += scheduled * n_planes
+        local.pairs_skipped += (total_pairs - scheduled) * n_planes
         # Hardware view: the skipped conversions still happen (a silent
         # fragment column converts code 0); account them without computing.
-        local.conversions += ((total_pairs - scheduled_pairs)
+        local.conversions += ((total_pairs - scheduled)
                               * n_planes * cols * slices)
 
-        bit_weight = (np.int64(1) << shifts)
-        run = (self._run_sparse_task_ideal if ideal
+        bit_weight = np.int64(1) << np.arange(n_bits, dtype=np.int64)
+        run = (self._run_sparse_task_ideal if tier == "integer"
                else self._run_sparse_task_analog)
         for (f, lp, res), task_stats in self._fan_out(
                 pool, lambda task, st: run(stacked, bit_weight, task, st),
@@ -1101,14 +938,11 @@ class InSituLayerEngine:
         self._commit_stats(local)
         return self._offset_correction(stacked, out)
 
-    def _frag_signs(self) -> Optional[np.ndarray]:
-        return self._frag_signs_arr
-
     def _run_sparse_task_ideal(self, stacked: np.ndarray,
                                bit_weight: np.ndarray,
                                task: Tuple[int, np.ndarray, np.ndarray],
                                stats: EngineStats):
-        """Integer-kernel tier for one (fragment, live grid) task.
+        """The ``integer`` rung's kernel for one (fragment, live grid) task.
 
         Each conversion is the exact integer dot product, computed as one
         float64 GEMM (exact: sums of small non-negative integers) and
@@ -1120,8 +954,8 @@ class InSituLayerEngine:
         live only where the value is).  When that bound fits the ADC, no
         conversion of this task can clip and the bit-serial pipeline
         telescopes into one value-level GEMM against the effective weight
-        stack — the data-dependent, per-task version of the exact-matmul
-        tier (the hardware's "typical-case sums don't saturate" argument,
+        stack — the data-dependent, per-task version of the ``exact`` rung
+        (the hardware's "typical-case sums don't saturate" argument,
         applied opportunistically and provably).
         """
         f, lb, lp = task
@@ -1129,27 +963,27 @@ class InSituLayerEngine:
         cols = self.mapped.geometry.cols
         slices = self.mapped.slices
         n_planes = len(self._plane_terms)
+        ideal = self._ideal_constants()
+        frag_signs = self._frag_signs_arr
         sub = stacked[f][:, lp]                            # (m, K)
         max_code = float(self.adc.max_code)
         if lb.size > 1:
             nz = (sub != 0).T.astype(np.float64)           # (K, m)
-            bound = nz @ self._codes_float_stack()[f]      # (K, cols*S)
+            bound = nz @ ideal.codes_f[f]                  # (K, cols*S)
             if bound.max(initial=0.0) <= max_code:
                 stats.conversions += (lb.size * lp.size * cols * slices
                                       * n_planes)
-                eff_f, eff_i, exact = self._eff_stack_constants()
-                if exact:
+                if ideal.eff_exact:
                     res = np.rint(sub.T.astype(np.float64)
-                                  @ eff_f[f]).astype(np.int64)
+                                  @ ideal.eff_f[f]).astype(np.int64)
                 else:
-                    res = sub.T @ eff_i[f]                 # (K, cols)
-                frag_signs = self._frag_signs()
+                    res = sub.T @ ideal.eff_i[f]           # (K, cols)
                 if frag_signs is not None:
                     res = res * frag_signs[f]
                 return f, lp, res
         bits = (sub[None, :, :] >> lb[:, None, None]) & 1
         gemm_in = bits.transpose(0, 2, 1).reshape(-1, m).astype(np.float64)
-        dots = gemm_in @ self._codes_float_stack()[f]      # (B*K, cols*S)
+        dots = gemm_in @ ideal.codes_f[f]                  # (B*K, cols*S)
         # Integer tier underflow is impossible (bits and codes are
         # non-negative), so only the full-scale rail can clip.
         digital = np.minimum(dots, float(self.adc.max_code))
@@ -1158,7 +992,7 @@ class InSituLayerEngine:
         # Recombination in float64 BLAS when provably exact (the engine
         # checks the worst partial result against 2**53 at construction),
         # else in an int64 contraction.  The trailing GEMM axis is
-        # (cols, planes, slices) — _codes_float_stack's stacking order —
+        # (cols, planes, slices) — the stacking order of codes_f —
         # and _plane_place_f carries the plane signs.
         if self._float_recombine_exact:
             combined = (digital.reshape(-1, cols, n_planes * slices)
@@ -1171,7 +1005,6 @@ class InSituLayerEngine:
                 lb.size, lp.size, cols, n_planes, slices)
             res = np.einsum("bkcns,s,n,b->kc", vals, self._place,
                             self._plane_signs, bit_weight[lb], optimize=True)
-        frag_signs = self._frag_signs()
         if frag_signs is not None:
             res = res * frag_signs[f]
         return f, lp, res
@@ -1180,7 +1013,7 @@ class InSituLayerEngine:
                                 bit_weight: np.ndarray,
                                 task: Tuple[int, np.ndarray, np.ndarray],
                                 stats: EngineStats):
-        """Analog-kernel tier for one (fragment, live grid) task.
+        """The ``analog`` rung's kernel for one (fragment, live grid) task.
 
         Runs the full float signal path — the dual scheme's planes stacked
         along the jobs axis — over the fragment's live bits and positions
@@ -1214,15 +1047,15 @@ class InSituLayerEngine:
         res = np.einsum("nkcs,ns->kc",
                         by_bit.reshape(n_planes, lp.size, cols, slices),
                         self._plane_place)                  # (K, cols)
-        frag_signs = self._frag_signs()
-        if frag_signs is not None:
-            res = res * frag_signs[f]
+        if self._frag_signs_arr is not None:
+            res = res * self._frag_signs_arr[f]
         return f, lp, res
 
     # ------------------------------------------------------------------
-    # Dense bit-plane kernel (the scheduling baseline / noise path)
+    # Dense bit-plane executor (the scheduling baseline / noise path)
     # ------------------------------------------------------------------
-    def _matvec_dense(self, stacked: np.ndarray, pool=None) -> np.ndarray:
+    def _matvec_dense(self, stacked: np.ndarray, pool, tier: str) -> np.ndarray:
+        """Any rung over the dense (bit-plane, fragment) job grid."""
         geometry = self.mapped.geometry
         n_frag, m, positions = stacked.shape
         cols = geometry.cols
@@ -1246,7 +1079,7 @@ class InSituLayerEngine:
         # hardware's terms (identical to the per-bit reference loop).  With
         # conversion noise the mask must stay full: silent fragments still
         # convert, and the ADC rectifies their noise into a real pedestal.
-        noisy = self._conversion_noise_active()
+        noisy = tier == "dense_noise"
         if noisy:
             live = np.ones((n_bits, n_frag), dtype=bool)
         else:
@@ -1262,24 +1095,13 @@ class InSituLayerEngine:
                               * positions * cols * slices * n_planes)
         digest = self._input_digest(stacked) if noisy else None
 
-        ideal = self._signal_path_ideal()
-        if ideal:
-            headroom, stack_f, stack_i, matmul_exact = self._exact_tier_constants()
-            if headroom <= self.adc.max_code:
-                # Exact-matmul tier: no conversion can clip (the worst-case
-                # fragment partial sum fits the ADC), so slice recombination,
-                # bit recombination, fragment signs and plane signs telescope
-                # into one matmul against the effective weight stack.
-                local.conversions += (n_jobs * positions * cols * slices
-                                      * n_planes)
-                flat = stacked.reshape(n_frag * m, positions)
-                if matmul_exact:
-                    out += np.rint(stack_f.T @ flat.astype(np.float64)
-                                   ).astype(np.int64)
-                else:  # exactness bound exceeded: integer contraction instead
-                    out += stack_i.T @ flat
-                self._commit_stats(local)
-                return self._offset_correction(stacked, out)
+        if tier == "exact":
+            local.conversions += (n_jobs * positions * cols * slices
+                                  * n_planes)
+            out = self._telescoped(stacked)
+            self._commit_stats(local)
+            return self._offset_correction(stacked, out)
+        ideal = tier == "integer"
 
         # Per-(job, slice) shift-and-add weights: ADC place value x input-bit
         # place value x plane sign — and per-(job, col) fragment signs.
@@ -1287,11 +1109,11 @@ class InSituLayerEngine:
         # no (bits, n_frag, positions, cols) accumulator is ever
         # materialized.
         bit_weight = (np.int64(1) << bits_idx.astype(np.int64))    # (n_jobs,)
-        frag_signs = self._frag_signs()
+        frag_signs = self._frag_signs_arr
 
         per_job = max(1, positions * cols * slices * n_planes
                       * self._job_memory_factor(m))
-        chunk = max(1, self._kernel_budget() // per_job)
+        chunk = max(1, FUSED_KERNEL_MAX_ELEMENTS // per_job)
         if noisy and chunk > n_frag:
             # Whole bit-plane rows per chunk: a noise row substream is then
             # constructed once per MVM and none of its draws is discarded.
@@ -1413,8 +1235,7 @@ def build_engine(levels_matrix: np.ndarray, geometry: FragmentGeometry,
                  scheme: str = "forms", signs: Optional[np.ndarray] = None,
                  adc: Optional[ADCSpec] = None,
                  activation_bits: int = 16,
-                 die_cache: Optional[DieCache] = None,
-                 kernel_max_elements: Optional[int] = None) -> InSituLayerEngine:
+                 die_cache: Optional[DieCache] = None) -> InSituLayerEngine:
     """Map integer levels and construct the engine in one step."""
     if scheme == "forms" and signs is None:
         from .mapping import infer_signs
@@ -1422,8 +1243,32 @@ def build_engine(levels_matrix: np.ndarray, geometry: FragmentGeometry,
     mapped = map_layer(levels_matrix, geometry, spec, scheme=scheme, signs=signs)
     return InSituLayerEngine(mapped, device, adc=adc,
                              activation_bits=activation_bits,
-                             die_cache=die_cache,
-                             kernel_max_elements=kernel_max_elements)
+                             die_cache=die_cache)
+
+
+#: The dispatch ladder, in order: ``(tier, applies(engine), run(engine,
+#: stacked, pool, tier))``.  :meth:`InSituLayerEngine.dispatch_tier` picks
+#: the first rung whose predicate holds, so each predicate may assume the
+#: rungs above it did not apply.  The names label the engine profile
+#: (``forms_engine_profile_seconds{tier}``) and ``benchmarks/e2e``'s
+#: ``engine.mvm_us.<tier>``.
+TIERS = (
+    # read noise converts even silent fragments (the ADC rectifies it into
+    # a pedestal): the full dense grid, with keyed noise substreams
+    ("dense_noise", lambda engine: engine._conversion_noise_active(),
+     InSituLayerEngine._matvec_dense),
+    # variation or deterministic analog physics: the float signal path
+    # over the live grid (zero drive maps to code 0 exactly)
+    ("analog", lambda engine: not engine._signal_path_ideal(),
+     InSituLayerEngine._matvec_sparse),
+    # ideal path, worst-case partial sum fits the ADC: one telescoped matmul
+    ("exact", lambda engine: (engine._ideal_constants().headroom
+                              <= engine.adc.max_code),
+     InSituLayerEngine._matvec_exact),
+    # ideal path, clipping ADC: exact integer GEMMs, clipped as the ADC does
+    ("integer", lambda engine: True, InSituLayerEngine._matvec_sparse),
+)
+_EXECUTORS = {name: run for name, _, run in TIERS}
 
 
 # ---------------------------------------------------------------------------

@@ -321,8 +321,8 @@ class FaultInjector:
     :meth:`flip_die` is also directly callable (tests, notebooks): it
     samples a stuck-at map, realizes it on the engine's code planes,
     re-programs the die's conductance from the faulty codes and invalidates
-    the engine's folded tier constants — all three bit-exact compute tiers
-    then serve the faulty die, which is what makes checksum detection (and
+    the engine's folded rung constants — every rung of the dispatch ladder
+    then serves the faulty die, which is what makes checksum detection (and
     nothing else) the thing standing between a stuck cell and a wrong
     answer.
     """

@@ -168,8 +168,7 @@ def build_insitu_network(model: Module, config: FORMSConfig,
     thereby different layers of different tiles) across workers, or attach
     a :class:`repro.runtime.WorkerPool` to the engines
     (:func:`repro.runtime.attach_pool`) to spread one large MVM's job
-    chunks.  ``config.fused_kernel_max_elements`` (when set) pins every
-    engine's kernel chunk budget.
+    chunks.
     """
     insitu = clone_model(model)
     if artifacts is None:
@@ -185,9 +184,6 @@ def build_insitu_network(model: Module, config: FORMSConfig,
         mapped = map_layer(levels, geometry, spec, scheme=scheme, signs=signs)
         if die_cache is not None:  # keep custom engine_cls signatures working
             engine_kwargs = dict(engine_kwargs, die_cache=die_cache)
-        if config.fused_kernel_max_elements is not None:
-            engine_kwargs = dict(engine_kwargs,
-                                 kernel_max_elements=config.fused_kernel_max_elements)
         engine = engine_cls(mapped, device, adc=adc,
                             activation_bits=activation_bits, **engine_kwargs)
         if isinstance(layer, Conv2d):

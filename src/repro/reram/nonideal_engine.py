@@ -56,9 +56,6 @@ class NonidealEngine(InSituLayerEngine):
         (:meth:`~repro.reram.nonideal.ReadNoise.apply_jobs`), so noisy
         results are bit-identical across execution paths and worker
         counts.
-    kernel_max_elements:
-        Per-engine kernel chunk budget (see
-        :class:`~repro.reram.engine.InSituLayerEngine`).
     """
 
     def __init__(self, mapped: MappedLayer, device: ReRAMDevice,
@@ -67,8 +64,7 @@ class NonidealEngine(InSituLayerEngine):
                  wire: Optional[WireModel] = None,
                  cell_iv: Optional[CellIV] = None,
                  read_noise: Optional[ReadNoise] = None,
-                 die_cache: Optional[DieCache] = None,
-                 kernel_max_elements: Optional[int] = None):
+                 die_cache: Optional[DieCache] = None):
         if (wire is None) != (cell_iv is None):
             raise ValueError("wire and cell_iv must be supplied together")
         self.fault_fraction = 0.0
@@ -86,8 +82,7 @@ class NonidealEngine(InSituLayerEngine):
                                  signs=mapped.signs, offset=mapped.offset)
             self.fault_fraction = faulted / total if total else 0.0
         super().__init__(mapped, device, adc=adc,
-                         activation_bits=activation_bits, die_cache=die_cache,
-                         kernel_max_elements=kernel_max_elements)
+                         activation_bits=activation_bits, die_cache=die_cache)
         self.wire = wire
         self.cell_iv = cell_iv
         self.read_noise = read_noise
@@ -136,11 +131,6 @@ class NonidealEngine(InSituLayerEngine):
             else:
                 currents = self.read_noise.apply(currents)
         return currents
-
-    # With wire/noise off, _job_currents reduces to the parent's ideal read,
-    # so the exact integer shortcut tiers remain valid (see
-    # InSituLayerEngine._signal_path_ideal).
-    _job_currents._ideal_when_inactive = True
 
 
 def output_error(engine: InSituLayerEngine, reference: InSituLayerEngine,

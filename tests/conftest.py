@@ -46,7 +46,8 @@ def make_random_engine_case(rng):
     """One randomized in-situ engine + integer inputs, for oracle fuzzing.
 
     Draws (shape, fragment size, weight/cell/activation bit-widths,
-    sparsity, scheduler) from ``rng`` and returns ``(engine, x_int, meta)``
+    sparsity, whether to also check the dense executor) from ``rng`` and
+    returns ``(engine, x_int, meta)``
     where ``meta`` is the drawn configuration — include it in assertion
     messages so a failing draw is reproducible from the pinned seed.
 
@@ -67,7 +68,7 @@ def make_random_engine_case(rng):
     cell_bits = int(rng.choice([1, 2]))
     activation_bits = int(rng.choice([4, 8, 12]))
     sparsity = float(rng.uniform(0.0, 0.9))
-    sparse_enabled = bool(rng.integers(0, 2))
+    check_dense = bool(rng.integers(0, 2))
     positions = int(rng.integers(1, 20))
 
     geometry = FragmentGeometry((cols, rows), fragment_size, "w")
@@ -88,12 +89,11 @@ def make_random_engine_case(rng):
                        signs=infer_signs(levels, geometry))
     engine = InSituLayerEngine(mapped, ReRAMDevice(DeviceSpec(), 0.0),
                                activation_bits=activation_bits)
-    engine.sparse_enabled = sparse_enabled
     x_int = rng.integers(0, 2 ** activation_bits, size=(rows, positions))
     meta = dict(rows=rows, cols=cols, fragment_size=fragment_size,
                 weight_bits=weight_bits, cell_bits=cell_bits,
                 activation_bits=activation_bits, sparsity=round(sparsity, 3),
-                sparse_enabled=sparse_enabled, positions=positions)
+                check_dense=check_dense, positions=positions)
     return engine, x_int, meta
 
 

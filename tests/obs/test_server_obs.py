@@ -212,7 +212,7 @@ class TestEngineProfiling:
         assert counts, "no profiled MVMs landed in the histogram"
         for labels, value in counts.items():
             assert dict(labels)["tier"] in ("exact", "integer", "analog",
-                                            "dense", "dense_noise")
+                                            "dense_noise")
             assert value >= 1
         # profiled engine spans appear under the trace's tile span
         (root,) = result.stats.spans

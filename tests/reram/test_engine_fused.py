@@ -1,8 +1,9 @@
 """Fused bit-plane kernel equivalence — the retained oracle earns its keep.
 
-``matvec_int`` dispatches across three tiers (exact matmul, integer kernel,
-full analog kernel); every tier must stay bit-exact against the original
-cycle-by-cycle loop retained as ``matvec_int_reference``.  These tests pin
+``matvec_int`` runs one rung of the dispatch ladder ``TIERS`` (read-noise
+dense grid, analog kernel, exact matmul, integer kernel); every rung must
+stay bit-exact against the original cycle-by-cycle loop retained as
+``matvec_int_reference``.  These tests pin
 that equivalence across mapping schemes, geometries (odd/padded row counts),
 input shapes, ADC sizings, the analog IR-drop path, and the signed
 decomposition used by whole-network inference — plus the DieCache and the
@@ -12,10 +13,11 @@ negative-rail saturation accounting that rode along in the same change.
 import numpy as np
 import pytest
 
+import repro.reram.engine as engine_mod
 from repro.core import FragmentGeometry, QuantizationSpec
 from repro.core.polarization import compute_signs, project_polarization
-from repro.reram import (ADCSpec, DeviceSpec, DieCache, ReRAMDevice,
-                         build_engine)
+from repro.reram import (TIERS, ADCSpec, DeviceSpec, DieCache,
+                         InSituLayerEngine, ReRAMDevice, build_engine)
 from repro.reram.inference import _signed_matvec
 from repro.reram.mapping import infer_signs, map_layer
 from repro.reram.nonideal import CellIV, ReadNoise, WireModel
@@ -38,6 +40,51 @@ def polarized_case(shape, m, seed=0, qmax=127):
 
 def ideal_device():
     return ReRAMDevice(DeviceSpec(), variation_sigma=0.0)
+
+
+def noise_engine(mapped):
+    spec = DeviceSpec()
+    noise = ReadNoise.for_fragment(4, spec.g_max, spec.read_voltage,
+                                   relative_sigma=0.2, seed=3)
+    return NonidealEngine(mapped, ideal_device(), activation_bits=10,
+                          read_noise=noise)
+
+
+#: one engine per rung of the dispatch ladder, built from a mapped layer
+RUNG_CASES = {
+    "dense_noise": noise_engine,
+    "analog": lambda mapped: InSituLayerEngine(
+        mapped, ReRAMDevice(DeviceSpec(), 0.1, seed=5), activation_bits=10),
+    "exact": lambda mapped: InSituLayerEngine(
+        mapped, ideal_device(), activation_bits=10),
+    "integer": lambda mapped: InSituLayerEngine(
+        mapped, ideal_device(), adc=ADCSpec(bits=3), activation_bits=10),
+}
+
+
+class TestDispatchLadder:
+    @pytest.mark.parametrize("tier", [name for name, _, _ in TIERS])
+    def test_every_rung_matches_reference(self, tier, monkeypatch):
+        """Each rung: output and stats of the oracle, on both executors.
+
+        A rung added to ``TIERS`` without a ``RUNG_CASES`` entry fails
+        here.  The block keeps every (bit, fragment, position) live, so
+        the skip counters of all paths agree with the oracle's.
+        """
+        monkeypatch.setattr(engine_mod, "SPARSE_MIN_TASK_ELEMENTS", 0)
+        levels, geom = polarized_case((4, 2, 3, 3), 4, seed=30)
+        mapped = map_layer(levels, geom, QSPEC, scheme="forms",
+                           signs=infer_signs(levels, geom))
+        rng = np.random.default_rng(31)
+        x = rng.integers(0, 2 ** 10, size=(geom.rows, 7))
+        x[rng.random(x.shape) < 0.5] = 0
+        x[::geom.fragment_size] = 2 ** 10 - 1   # one full row per fragment
+        fused, ref, dense = (RUNG_CASES[tier](mapped) for _ in range(3))
+        assert fused.dispatch_tier() == tier
+        out = fused.matvec_int(x)
+        np.testing.assert_array_equal(out, ref.matvec_int_reference(x))
+        assert fused.stats.as_dict() == ref.stats.as_dict()
+        np.testing.assert_array_equal(dense.matvec_int_dense(x), out)
 
 
 class TestFusedEqualsReference:
@@ -317,4 +364,4 @@ class TestStatsAccounting:
         x = np.full((geom.rows, 2), 15, dtype=np.int64)  # every bit live
         engine.matvec_int(x)
         assert engine.stats.skip_fraction == 0.0
-        assert engine.stats.jobs_computed > 0
+        assert engine.stats.jobs_scheduled > 0

@@ -6,8 +6,7 @@ no-clip shortcut per task); these tests pin it bit-exact against both the
 retained dense bit-plane kernel (``matvec_int_dense``) and the
 cycle-by-cycle oracle (``matvec_int_reference``) across mapping schemes,
 tiers, edge-case inputs and worker counts — plus the keyed read-noise
-substreams that make even noisy engines bit-exact across paths, and the
-kernel-budget knob.
+substreams that make even noisy engines bit-exact across paths.
 """
 
 import numpy as np
@@ -17,9 +16,7 @@ import repro.reram.engine as engine_mod
 from repro.core import FragmentGeometry, QuantizationSpec
 from repro.core.polarization import compute_signs, project_polarization
 from repro.perf.suite import make_post_relu_inputs
-from repro.reram import (ADCSpec, DeviceSpec, ReRAMDevice, build_engine,
-                         fused_kernel_max_elements,
-                         set_fused_kernel_max_elements)
+from repro.reram import ADCSpec, DeviceSpec, ReRAMDevice, build_engine
 from repro.reram.mapping import infer_signs, map_layer
 from repro.reram.nonideal import CellIV, ReadNoise, WireModel
 from repro.reram.nonideal_engine import NonidealEngine
@@ -49,12 +46,13 @@ def sparse_block(geom, m, positions=24, bits=12, seed=3):
                                  fragment_size=m, seed=seed)
 
 
-def force_sparse(engine):
+@pytest.fixture
+def force_sparse(monkeypatch):
     """Disable the hybrid small-task fallback so the CSR path always runs."""
-    engine.sparse_min_task_elements = 0
-    return engine
+    monkeypatch.setattr(engine_mod, "SPARSE_MIN_TASK_ELEMENTS", 0)
 
 
+@pytest.mark.usefixtures("force_sparse")
 class TestSparseEqualsReference:
     """Bit-exactness of the CSR scheduler vs dense kernel and oracle."""
 
@@ -64,9 +62,9 @@ class TestSparseEqualsReference:
         levels, geom = polarized_case((4, 2, 3, 3), 4, seed=1)
         x = sparse_block(geom, 4)
         adc = ADCSpec(bits=adc_bits) if adc_bits else None
-        engine = force_sparse(build_engine(levels, geom, QSPEC,
-                                           ideal_device(), scheme=scheme,
-                                           adc=adc, activation_bits=12))
+        engine = build_engine(levels, geom, QSPEC,
+                              ideal_device(), scheme=scheme,
+                              adc=adc, activation_bits=12)
         out = engine.matvec_int(x)
         np.testing.assert_array_equal(out, engine.matvec_int_dense(x))
         np.testing.assert_array_equal(out, engine.matvec_int_reference(x))
@@ -76,9 +74,9 @@ class TestSparseEqualsReference:
         levels, geom = polarized_case((4, 2, 3, 3), 4, seed=2)
         x = sparse_block(geom, 4)
         device = ReRAMDevice(DeviceSpec(), variation_sigma=0.1, seed=5)
-        engine = force_sparse(build_engine(levels, geom, QSPEC, device,
-                                           scheme=scheme,
-                                           activation_bits=12))
+        engine = build_engine(levels, geom, QSPEC, device,
+                              scheme=scheme,
+                              activation_bits=12)
         out = engine.matvec_int(x)
         np.testing.assert_array_equal(out, engine.matvec_int_dense(x))
         np.testing.assert_array_equal(out, engine.matvec_int_reference(x))
@@ -88,10 +86,10 @@ class TestSparseEqualsReference:
         x = sparse_block(geom, 4)
         mapped = map_layer(levels, geom, QSPEC, scheme="forms",
                            signs=infer_signs(levels, geom))
-        engine = force_sparse(NonidealEngine(
+        engine = NonidealEngine(
             mapped, ideal_device(), activation_bits=12,
             wire=WireModel(r_wire_ohm=10.0),
-            cell_iv=CellIV(nonlinearity=2.5)))
+            cell_iv=CellIV(nonlinearity=2.5))
         out = engine.matvec_int(x)
         np.testing.assert_array_equal(out, engine.matvec_int_dense(x))
         np.testing.assert_array_equal(out, engine.matvec_int_reference(x))
@@ -109,9 +107,9 @@ class TestSparseEqualsReference:
 
     def test_single_nonzero_input(self):
         levels, geom = polarized_case((4, 2, 3, 3), 4, seed=7)
-        engine = force_sparse(build_engine(levels, geom, QSPEC,
-                                           ideal_device(), adc=ADCSpec(bits=3),
-                                           activation_bits=10))
+        engine = build_engine(levels, geom, QSPEC,
+                              ideal_device(), adc=ADCSpec(bits=3),
+                              activation_bits=10)
         x = np.zeros((geom.rows, 6), dtype=np.int64)
         x[geom.rows - 1, 3] = 0b1011010101
         out = engine.matvec_int(x)
@@ -121,39 +119,40 @@ class TestSparseEqualsReference:
 
     def test_1d_input(self):
         levels, geom = polarized_case((4, 2, 3, 3), 4, seed=8)
-        engine = force_sparse(build_engine(levels, geom, QSPEC,
-                                           ideal_device(),
-                                           activation_bits=8))
+        engine = build_engine(levels, geom, QSPEC,
+                              ideal_device(),
+                              activation_bits=8)
         x = np.zeros(geom.rows, dtype=np.int64)
         x[::3] = 200
         np.testing.assert_array_equal(engine.matvec_int(x),
                                       engine.matvec_int_reference(x))
 
-    def test_hybrid_fallback_matches(self):
-        """The small-task dense fallback is a pure dispatch decision."""
+    def test_hybrid_fallback_matches(self, monkeypatch):
+        """The small-task dense fallback is a pure executor choice."""
         levels, geom = polarized_case((4, 2, 3, 3), 4, seed=9)
         x = sparse_block(geom, 4, positions=3)
-        always = force_sparse(build_engine(levels, geom, QSPEC,
-                                           ideal_device(), adc=ADCSpec(bits=3),
-                                           activation_bits=12))
+        always = build_engine(levels, geom, QSPEC,
+                              ideal_device(), adc=ADCSpec(bits=3),
+                              activation_bits=12)
+        expected = always.matvec_int(x)
+        monkeypatch.setattr(engine_mod, "SPARSE_MIN_TASK_ELEMENTS", 1 << 30)
         hybrid = build_engine(levels, geom, QSPEC, ideal_device(),
                               adc=ADCSpec(bits=3), activation_bits=12)
-        hybrid.sparse_min_task_elements = 1 << 30   # always falls back
-        np.testing.assert_array_equal(always.matvec_int(x),
-                                      hybrid.matvec_int(x))
+        np.testing.assert_array_equal(hybrid.matvec_int(x), expected)
 
     def test_chunked_kernel_identical(self, monkeypatch):
         """The chunk budget is a pure memory knob on the sparse path too."""
         levels, geom = polarized_case((4, 2, 3, 3), 4, seed=10)
         x = sparse_block(geom, 4)
-        engine = force_sparse(build_engine(levels, geom, QSPEC,
-                                           ideal_device(), adc=ADCSpec(bits=3),
-                                           activation_bits=12))
+        engine = build_engine(levels, geom, QSPEC,
+                              ideal_device(), adc=ADCSpec(bits=3),
+                              activation_bits=12)
         expected = engine.matvec_int(x)
         monkeypatch.setattr(engine_mod, "FUSED_KERNEL_MAX_ELEMENTS", 1)
         np.testing.assert_array_equal(engine.matvec_int(x), expected)
 
 
+@pytest.mark.usefixtures("force_sparse")
 class TestWorkerInvariance:
     """Pooled in-layer fan-out: identical bits and stats at any width."""
 
@@ -161,16 +160,16 @@ class TestWorkerInvariance:
     def test_integer_tier(self, workers):
         levels, geom = polarized_case((4, 2, 3, 3), 4, seed=11)
         x = sparse_block(geom, 4)
-        engine = force_sparse(build_engine(levels, geom, QSPEC,
-                                           ideal_device(), adc=ADCSpec(bits=3),
-                                           activation_bits=12))
+        engine = build_engine(levels, geom, QSPEC,
+                              ideal_device(), adc=ADCSpec(bits=3),
+                              activation_bits=12)
         serial = engine.matvec_int(x)
         serial_stats = (engine.stats.conversions, engine.stats.saturated,
                         engine.stats.pairs_scheduled)
         with WorkerPool(workers) as pool:
-            pooled_engine = force_sparse(build_engine(
+            pooled_engine = build_engine(
                 levels, geom, QSPEC, ideal_device(), adc=ADCSpec(bits=3),
-                activation_bits=12))
+                activation_bits=12)
             pooled = pooled_engine.matvec_int(x, pool=pool)
         np.testing.assert_array_equal(pooled, serial)
         assert (pooled_engine.stats.conversions,
@@ -178,8 +177,10 @@ class TestWorkerInvariance:
                 pooled_engine.stats.pairs_scheduled) == serial_stats
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_noisy_engine(self, workers):
+    def test_noisy_engine(self, workers, monkeypatch):
         """Read noise rides keyed substreams: worker-count invariant."""
+        monkeypatch.setattr(engine_mod, "FUSED_KERNEL_MAX_ELEMENTS",
+                            64)  # force many chunks
         levels, geom = polarized_case((4, 2, 3, 3), 4, seed=12)
         x = sparse_block(geom, 4, positions=9)
         mapped = map_layer(levels, geom, QSPEC, scheme="forms",
@@ -188,11 +189,9 @@ class TestWorkerInvariance:
 
         def noisy_engine():
             noise = ReadNoise.for_fragment(4, spec.g_max, spec.read_voltage,
-                                           relative_sigma=0.2, seed=13)
-            engine = NonidealEngine(mapped, ReRAMDevice(spec, 0.0),
-                                    activation_bits=12, read_noise=noise)
-            engine.kernel_max_elements = 64  # force many chunks
-            return engine
+                              relative_sigma=0.2, seed=13)
+            return NonidealEngine(mapped, ReRAMDevice(spec, 0.0),
+                                  activation_bits=12, read_noise=noise)
 
         serial = noisy_engine().matvec_int(x)
         with WorkerPool(workers) as pool:
@@ -202,9 +201,9 @@ class TestWorkerInvariance:
     def test_engine_pool_attribute(self):
         levels, geom = polarized_case((4, 2, 3, 3), 4, seed=14)
         x = sparse_block(geom, 4)
-        engine = force_sparse(build_engine(levels, geom, QSPEC,
-                                           ideal_device(), adc=ADCSpec(bits=3),
-                                           activation_bits=12))
+        engine = build_engine(levels, geom, QSPEC,
+                              ideal_device(), adc=ADCSpec(bits=3),
+                              activation_bits=12)
         expected = engine.matvec_int(x)
         with WorkerPool(3) as pool:
             engine.pool = pool
@@ -224,7 +223,7 @@ class TestNoiseKeyedSubstreams:
 
         def engine():
             noise = ReadNoise.for_fragment(4, spec.g_max, spec.read_voltage,
-                                           relative_sigma=0.3, seed=16)
+                              relative_sigma=0.3, seed=16)
             return NonidealEngine(mapped, ReRAMDevice(spec, 0.0),
                                   activation_bits=12, read_noise=noise)
 
@@ -250,13 +249,14 @@ class TestNoiseKeyedSubstreams:
             noise.apply_jobs(np.zeros((3, 2)), [(0,)])
 
 
+@pytest.mark.usefixtures("force_sparse")
 class TestStatsAccounting:
     def test_conversions_match_reference_on_sparse_block(self):
         levels, geom = polarized_case((4, 2, 3, 3), 4, seed=18)
         x = sparse_block(geom, 4)
-        sparse = force_sparse(build_engine(levels, geom, QSPEC,
-                                           ideal_device(), adc=ADCSpec(bits=3),
-                                           activation_bits=12))
+        sparse = build_engine(levels, geom, QSPEC,
+                              ideal_device(), adc=ADCSpec(bits=3),
+                              activation_bits=12)
         ref = build_engine(levels, geom, QSPEC, ideal_device(),
                            adc=ADCSpec(bits=3), activation_bits=12)
         sparse.matvec_int(x)
@@ -268,9 +268,9 @@ class TestStatsAccounting:
     def test_pair_accounting_consistent(self):
         levels, geom = polarized_case((4, 2, 3, 3), 4, seed=19)
         x = sparse_block(geom, 4)
-        engine = force_sparse(build_engine(levels, geom, QSPEC,
-                                           ideal_device(), adc=ADCSpec(bits=3),
-                                           activation_bits=12))
+        engine = build_engine(levels, geom, QSPEC,
+                              ideal_device(), adc=ADCSpec(bits=3),
+                              activation_bits=12)
         engine.matvec_int(x)
         stats = engine.stats
         total_pairs = stats.pairs_scheduled + stats.pairs_skipped
@@ -279,8 +279,6 @@ class TestStatsAccounting:
             geom.fragments_per_column
         assert 0.0 < stats.pair_skip_fraction < 1.0
         assert stats.pair_skip_fraction >= stats.skip_fraction
-        # alias kept for older callers
-        assert stats.jobs_computed == stats.jobs_scheduled
 
     def test_merge_is_thread_safe(self):
         import threading
@@ -302,59 +300,3 @@ class TestStatsAccounting:
         assert total.conversions == 8000
         assert total.pairs_scheduled == 16000
 
-
-class TestKernelBudgetKnob:
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv(engine_mod.FUSED_KERNEL_ENV, "12345")
-        assert fused_kernel_max_elements() == 12345
-        monkeypatch.setenv(engine_mod.FUSED_KERNEL_ENV, "0")
-        with pytest.raises(ValueError):
-            fused_kernel_max_elements()
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(engine_mod.FUSED_KERNEL_ENV, "12345")
-        set_fused_kernel_max_elements(777)
-        try:
-            assert fused_kernel_max_elements() == 777
-        finally:
-            set_fused_kernel_max_elements(None)
-        assert fused_kernel_max_elements() == 12345
-
-    def test_per_engine_budget_wins(self, monkeypatch):
-        levels, geom = polarized_case((4, 2, 3, 3), 4, seed=20)
-        engine = build_engine(levels, geom, QSPEC, ideal_device(),
-                              kernel_max_elements=99)
-        monkeypatch.setenv(engine_mod.FUSED_KERNEL_ENV, "12345")
-        assert engine._kernel_budget() == 99
-
-    def test_autotune_gated_by_env(self, monkeypatch):
-        monkeypatch.delenv(engine_mod.FUSED_KERNEL_ENV, raising=False)
-        monkeypatch.setattr(engine_mod, "_kernel_autotuned", None)
-        monkeypatch.setenv(engine_mod.FUSED_KERNEL_AUTOTUNE_ENV, "1")
-        chosen = fused_kernel_max_elements()
-        assert chosen >= 1
-        # cached: the second resolution does not re-run the sweep
-        assert fused_kernel_max_elements() == chosen
-        monkeypatch.delenv(engine_mod.FUSED_KERNEL_AUTOTUNE_ENV)
-        assert fused_kernel_max_elements() == \
-            engine_mod.FUSED_KERNEL_MAX_ELEMENTS
-
-    def test_config_field_reaches_engines(self):
-        from repro.core import FORMSConfig
-        from repro.serving.demo import \
-            post_relu_network as _post_relu_network
-        from repro.reram.inference import build_insitu_network
-        model, config, _ = _post_relu_network()
-        config.fused_kernel_max_elements = 4321
-        _, engines = build_insitu_network(model, config, ideal_device())
-        assert all(e.kernel_max_elements == 4321 for e in engines.values())
-
-    def test_autotune_returns_candidate(self, monkeypatch):
-        # Explicit candidates are honored even when the env-resolution
-        # cache is already populated (the cache lives in
-        # fused_kernel_max_elements, not in the autotuner).
-        monkeypatch.setattr(engine_mod, "_kernel_autotuned", 1 << 18)
-        candidates = (1 << 14, 1 << 15)
-        chosen = engine_mod.autotune_fused_kernel_max_elements(
-            candidates=candidates, repeats=1)
-        assert chosen in candidates

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.reram.engine as engine_mod
 from repro.core.quantization import QuantizationSpec
 from repro.perf.suite import make_polarized_layer, make_post_relu_inputs
 from repro.reram import DeviceSpec, DieCache, ReRAMDevice
@@ -245,7 +246,7 @@ QSPEC = QuantizationSpec(8, 2)
 NOISE_BITS = 10
 
 
-def noisy_engine(scheme="forms", kernel_max_elements=None):
+def noisy_engine(scheme="forms"):
     levels, geom = make_polarized_layer((4, 2, 3, 3), 4, seed=31)
     signs = infer_signs(levels, geom) if scheme == "forms" else None
     mapped = map_layer(levels, geom, QSPEC, scheme=scheme, signs=signs)
@@ -253,15 +254,15 @@ def noisy_engine(scheme="forms", kernel_max_elements=None):
     noise = ReadNoise.for_fragment(4, spec.g_max, spec.read_voltage,
                                    relative_sigma=0.2, seed=32)
     engine = NonidealEngine(mapped, ReRAMDevice(spec, 0.0),
-                            activation_bits=NOISE_BITS, read_noise=noise,
-                            kernel_max_elements=kernel_max_elements)
+                            activation_bits=NOISE_BITS, read_noise=noise)
     x = make_post_relu_inputs(geom, positions=6, bits=NOISE_BITS,
                               fragment_size=4, seed=33)
     return engine, x
 
 
 class TestRowKeyedReadNoise:
-    def test_invariant_under_path_workers_and_chunk_packing(self):
+    def test_invariant_under_path_workers_and_chunk_packing(self,
+                                                            monkeypatch):
         engine, x = noisy_engine()
         fused = engine.matvec_int(x)
         np.testing.assert_array_equal(
@@ -270,7 +271,8 @@ class TestRowKeyedReadNoise:
             with WorkerPool(workers) as pool:
                 np.testing.assert_array_equal(
                     fused, noisy_engine()[0].matvec_int(x, pool=pool))
-        one_job_per_chunk = noisy_engine(kernel_max_elements=1)[0]
+        monkeypatch.setattr(engine_mod, "FUSED_KERNEL_MAX_ELEMENTS", 1)
+        one_job_per_chunk = noisy_engine()[0]
         np.testing.assert_array_equal(fused, one_job_per_chunk.matvec_int(x))
         assert one_job_per_chunk.stats.as_dict() == engine.stats.as_dict()
 

@@ -2,7 +2,7 @@
 
 The tentpole proof of the process tier: for every cell of
 {serial, thread, process} x workers {1, 2} (workers 4 under ``slow``)
-x {ideal, read-noise} x {sparse, dense scheduler}, tiled whole-network
+x {ideal, read-noise} x {sparse, dense} executor, tiled whole-network
 inference produces
 
 * bit-identical outputs, tile by tile,
@@ -14,6 +14,11 @@ only passes because :class:`repro.reram.nonideal.ReadNoise` keys its
 substreams on (input digest, plane, bit, fragment) — never on thread or
 process identity — so the proof covers the determinism contract end to
 end, not just the ideal-arithmetic path.
+
+The executor axis: ``sparse`` runs ``matvec_int`` (the rung
+``dispatch_tier()`` picks), ``dense`` pins every engine to
+``matvec_int_dense``, the perf suite's baseline.  Read noise already
+forces the dense grid, so on the noise cells both run one executor.
 """
 
 import numpy as np
@@ -61,7 +66,7 @@ def build(case, *, noise: bool, sparse: bool):
                                         die_cache=die_cache, **kwargs)
     if not sparse:
         for engine in engines.values():
-            engine.sparse_enabled = False
+            engine.matvec_int = engine.matvec_int_dense
     return net, engines, images
 
 

@@ -1,11 +1,12 @@
 """Seeded fuzz: the fused kernel equals the cycle oracle on every backend.
 
 ~50 randomized engine configurations — shape, fragment size, weight/cell/
-activation bit-widths, sparsity, scheduler, position-tile count — drawn
-from one pinned RNG (:data:`FUZZ_SEED`), each asserting the fused
-``matvec_int`` bit-identical to ``matvec_int_reference``, with the fused
-side executed serially or fanned out over thread / process pools in
-round-robin.  A failing draw prints its full configuration, so it replays
+activation bit-widths, sparsity, position-tile count — drawn from one
+pinned RNG (:data:`FUZZ_SEED`), each asserting the fused ``matvec_int``
+bit-identical to ``matvec_int_reference``, with the fused side executed
+serially or fanned out over thread / process pools in round-robin.  About
+half the draws (``meta["check_dense"]``) also assert the dense executor,
+``matvec_int_dense``, against the same oracle.  A failing draw prints its full configuration, so it replays
 from the seed alone.
 """
 
@@ -52,3 +53,7 @@ def test_fuzz_fused_kernel_matches_reference(random_engine_case, pools):
             out, expected,
             err_msg=f"draw {i} on backend={backend!r} tiles={n_tiles}: "
                     f"{meta}")
+        if meta["check_dense"]:
+            np.testing.assert_array_equal(
+                engine.matvec_int_dense(x_int), expected,
+                err_msg=f"draw {i} dense executor: {meta}")

@@ -46,7 +46,7 @@ class TestWorkerCountInvariance:
         sparse_net, _, images = build(network_case)
         dense_net, dense_engines, _ = build(network_case)
         for engine in dense_engines.values():
-            engine.sparse_enabled = False
+            engine.matvec_int = engine.matvec_int_dense
         np.testing.assert_array_equal(
             infer_tiled(sparse_net, images, workers=4, tile_size=2),
             run_network_serial(dense_net, images, tile_size=2))

@@ -283,7 +283,11 @@ class TestShedOverTheWire(OnThreaded):
                 for _ in range(3)]
             for thread in threads:
                 thread.start()
-            time.sleep(0.15)       # dispatch busy + one queued => depth >= 1
+            # dispatch busy + one queued => depth >= 1
+            waited = time.monotonic() + 5.0
+            while (frontend.server.queue.depth < 1
+                   and time.monotonic() < waited):
+                time.sleep(0.005)
             started = time.monotonic()
             with pytest.raises(HttpError) as caught:
                 client.infer(IMAGE)
