@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs drift gate: the docs must exist, be reachable, and stay complete.
 
-Eleven rules, each failing the check set (exit 1) the way a broken test
+Twelve rules, each failing the check set (exit 1) the way a broken test
 would:
 
 1. ``README.md`` and ``docs/architecture.md`` exist and mention every
@@ -48,13 +48,19 @@ would:
     environment variables the code reads) equals the set of backticked
     ``FORMS_...`` names in the corpus — an undocumented variable and a
     documented one that nothing reads both fail the gate.
+12. The backticked, slash-separated rung list in the
+    ``forms_engine_profile_seconds`` row of ``docs/observability.md``
+    equals the names of ``repro.reram.TIERS``, in ladder order — the
+    ``tier`` label's documented values cannot trail the dispatch ladder.
 
-Rules 3-8 and 10 introspect the real parser (``repro.cli.build_parser``), the
-real wire contract (``repro.serving.wire.ERROR_CODES``), the real
+Rules 3-8, 10 and 12 introspect the real parser
+(``repro.cli.build_parser``), the real wire contract
+(``repro.serving.wire.ERROR_CODES``), the real
 executor surface (``repro.runtime.BACKENDS``), the real metric
 catalog (``repro.obs.metric_names``), the real event vocabulary
-(``repro.serving.wire.STREAM_EVENTS``) and the real stats store
-(``repro.serving.ServerStats``), so the gate tracks the code by
+(``repro.serving.wire.STREAM_EVENTS``), the real stats store
+(``repro.serving.ServerStats``) and the real dispatch ladder
+(``repro.reram.TIERS``), so the gate tracks the code by
 construction.  Run by ``scripts/checks.sh``.
 """
 
@@ -242,6 +248,26 @@ def check_env_vars(failures: list) -> int:
     return len(read)
 
 
+#: the backticked, slash-separated rung list of the engine-profile row
+RUNG_LIST = r"((?:`\w+` / )+`\w+`)"
+
+
+def check_tier_names(failures: list) -> int:
+    """Rule 12: the engine-profile row lists exactly the TIERS rungs."""
+    from repro.reram import TIERS
+    names = [name for name, _, _ in TIERS]
+    row = next((line for line in read_if_exists(
+        REPO_ROOT / "docs" / "observability.md").splitlines()
+        if line.startswith("| `forms_engine_profile_seconds` |")), "")
+    listed = re.search(RUNG_LIST, row)
+    documented = re.findall(r"`(\w+)`", listed.group(1)) if listed else []
+    if documented != names:
+        failures.append(f"docs/observability.md: the "
+                        f"`forms_engine_profile_seconds` row lists rungs "
+                        f"{documented}, but repro.reram.TIERS is {names}")
+    return len(names)
+
+
 def tracked_files() -> list:
     """What git tracks; outside a checkout, what is on disk."""
     try:
@@ -292,6 +318,7 @@ def main() -> int:
     n_fields = check_stats_fields(failures)
     n_references = check_references(failures)
     n_env = check_env_vars(failures)
+    n_tiers = check_tier_names(failures)
     if failures:
         for failure in failures:
             print(f"ERROR: {failure}", file=sys.stderr)
@@ -301,8 +328,9 @@ def main() -> int:
           f"{len(subcommands)} subcommands, {len(serve_flags)} serve "
           f"flags, {n_codes} wire error codes, {n_backends} runtime "
           f"backends, {n_metrics} catalogued metrics, {n_events} "
-          f"stream event types, {n_fields} stats fields and {n_env} "
-          f"environment variables documented; {n_references} script and "
+          f"stream event types, {n_fields} stats fields, {n_env} "
+          f"environment variables and {n_tiers} dispatch rungs "
+          f"documented; {n_references} script and "
           "document references resolve")
     return 0
 

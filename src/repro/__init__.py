@@ -15,13 +15,14 @@ The simulation stack splits scheduling from execution:
 
 * **Scheduler** — :meth:`repro.reram.engine.InSituLayerEngine.matvec_int`
   runs the first rung of one ordered table, :data:`repro.reram.engine.
-  TIERS` (``dense_noise``, ``analog``, ``exact``, ``integer``), whose
-  predicate holds.  The sparse rungs build a CSR-style job list from the
-  *nonzero structure* of each activation block (per-fragment ``live bits
-  x live positions`` grids; the per-fragment OR of the activation bits
-  is the complete structure).  All-zero bit-planes, silent fragments and
-  silent positions are never materialized; tasks whose conversions
-  provably cannot clip telescope into one value-level GEMM.  The dense
+  TIERS` (``dense_noise``, ``analog``, ``integer``), whose predicate
+  holds.  The ``analog`` and ``integer`` rungs schedule the *nonzero
+  structure* of each activation block (per-fragment ``live bits x live
+  positions`` grids; the per-fragment OR of the activation bits is the
+  complete structure).  All-zero bit-planes, silent fragments and silent
+  positions are never materialized; on the ``integer`` rung the block
+  telescopes into one value-level GEMM and only the (fragment, position)
+  pairs whose clip bound exceeds the ADC are expanded.  The dense
   bit-plane kernel
   (:meth:`matvec_int_dense`) and the cycle-by-cycle loop
   (:meth:`matvec_int_reference`) are retained as the scheduling baseline

@@ -71,7 +71,7 @@ METRIC_CATALOG: Tuple[Dict, ...] = (
     _spec("forms_engine_profile_seconds", "histogram",
           ("model", "layer", "tier"),
           "Opt-in per-MVM wall time of matvec_int, by dispatch-ladder "
-          "rung (dense_noise / analog / exact / integer).",
+          "rung (dense_noise / analog / integer).",
           ENGINE_BUCKETS_S),
     # -- async front end ------------------------------------------------
     _spec("forms_async_connections", "gauge", (),

@@ -9,16 +9,18 @@ speedups are *recorded*, not asserted from memory:
   retained cycle-by-cycle oracle (:meth:`matvec_int_reference`), checked
   bit-equal before timing;
 * ``..._clipadc`` / ``..._variation`` / ``..._irdrop`` — the same MVM down
-  the other engine tiers (integer kernel with a clipping ADC, full analog
-  path with device variation, batched first-order IR drop);
-* ``mvm_forms_16bit_128pos_sparse`` / ``..._sparse_irdrop`` — the CSR job
+  the other engine paths (the ``integer`` rung's clip residue under a
+  clipping ADC, full analog path with device variation, batched
+  first-order IR drop);
+* ``mvm_forms_16bit_128pos_sparse`` / ``..._sparse_irdrop`` — the live-grid
   scheduler on a post-ReLU-structured activation block (>= 50% zero
   bit-planes) versus the retained dense bit-plane kernel
-  (:meth:`matvec_int_dense`, the PR-1 production path);
+  (:meth:`matvec_int_dense`), which always runs the float signal path;
 * ``insitu_network_batch8_w{1,4}`` — whole-network inference (the demo
   CNN of :func:`repro.serving.demo.post_relu_network`) through the
   ``repro.runtime`` tiled executor at 1 and 4 workers versus the serial
-  full-batch dense-engine forward (the pre-runtime production path);
+  full-batch forward on ``matvec_int_dense`` engines (the float signal
+  path);
 * ``signed_matvec_mixed`` — the signed decomposition of
   :func:`repro.reram.inference._signed_matvec` (one fused positions-axis
   call) versus the seed's two sequential reference passes;
@@ -195,10 +197,10 @@ def bench_mvm_irdrop(repeats: int = 3) -> Dict:
 def bench_mvm_sparse(repeats: int = 3) -> Dict:
     """CSR job scheduler vs the dense bit-plane kernel, post-ReLU block.
 
-    Integer-kernel tier (the paper's clipping 4-bit ADC sizing): the sparse
-    path schedules only live (bit-plane, fragment, position) structure and
-    telescopes clip-free tasks; the dense path (``matvec_int_dense``, the
-    PR-1 production kernel) masks whole (bit-plane, fragment) jobs only.
+    The ``integer`` rung (the paper's clipping 4-bit ADC sizing): one
+    telescoped matmul over the live positions plus the clip residue; the
+    dense path (``matvec_int_dense``) runs the float signal path and masks
+    whole (bit-plane, fragment) jobs only.
     Both are asserted bit-equal to the cycle-by-cycle reference before
     timing.
     """

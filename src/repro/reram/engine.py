@@ -27,24 +27,26 @@ schedules the activation block's *nonzero structure* instead of its dense
 shape: a CSR-style job list is built directly from the per-fragment OR of
 the activation bits, so all-zero bit-planes, silent fragments **and** silent
 positions never materialize — the simulator-side image of the zero-skip
-shift registers, now at (bit-plane, fragment, position) granularity.  Each
-fragment's surviving ``live bits x live positions`` grid is evaluated in one
-fused contraction (a single GEMM on the integer tiers), chunked to the
-kernel cache budget; independent chunks can fan out across a
-:class:`repro.runtime.WorkerPool`.
+shift registers, now at (bit-plane, fragment, position) granularity.
 
 Which kernel runs is one ordered table, :data:`TIERS`: the rungs
-``dense_noise``, ``analog``, ``exact`` and ``integer``, each a name, an
-applicability predicate and an executor.
-:meth:`InSituLayerEngine.dispatch_tier` picks the first rung whose
-predicate holds; the executors never re-derive that choice.
+``dense_noise``, ``analog`` and ``integer``, each a name, an applicability
+predicate and an executor, picked by :meth:`InSituLayerEngine.
+dispatch_tier`.  On an ideal die (``integer``) the pipeline telescopes into
+one value-level matmul wherever a per-(fragment, position) bound proves no
+conversion can clip — the paper's "typical partial sums do not saturate
+the ADC" — and only the remaining pairs are expanded bit by bit, clipped
+and applied as a correction.  The ``analog`` rung runs each fragment's
+``live bits x live positions`` grid through the float signal path in one
+fused contraction; independent chunks can fan out across a
+:class:`repro.runtime.WorkerPool`.
 
-The previous dense decomposition — the whole block expanded into a
-``(bits, n_frag, m, positions)`` bit-plane tensor with (bit-plane, fragment)
-masking only — survives as :meth:`matvec_int_dense` (the scheduling
-baseline, and the path taken when read noise forces the full conversion
-grid), and the original cycle-by-cycle loop survives as
-:meth:`matvec_int_reference`, the forever-testable bit-exactness oracle.
+The dense decomposition — the whole block expanded into a ``(bits, n_frag,
+m, positions)`` bit-plane tensor with (bit-plane, fragment) masking only —
+survives as :meth:`matvec_int_dense` (the scheduling baseline, and the path
+taken when read noise forces the full conversion grid), and the original
+cycle-by-cycle loop survives as :meth:`matvec_int_reference`, the
+forever-testable bit-exactness oracle.
 """
 
 from __future__ import annotations
@@ -77,9 +79,9 @@ FUSED_KERNEL_MAX_ELEMENTS = 1 << 18
 #: tensor) for the CSR scheduler to win over the dense masked kernel: below
 #: this, per-task Python overhead outweighs the skipped conversions (a
 #: many-fragment, few-position layer — e.g. a classifier head on a small
-#: batch — is the canonical case) and the ``analog`` / ``integer`` rungs
-#: run the dense executor instead.  Pure executor choice: results are
-#: bit-identical either way.
+#: batch — is the canonical case) and the ``analog`` rung runs the dense
+#: executor instead.  Pure executor choice: results are bit-identical
+#: either way.
 SPARSE_MIN_TASK_ELEMENTS = 1 << 12
 
 
@@ -161,27 +163,12 @@ class EngineStats:
 
     def merge(self, other: "EngineStats") -> None:
         with self._lock:
-            self.conversions += other.conversions
-            self.saturated += other.saturated
-            self.cycles_fed += other.cycles_fed
-            self.jobs_scheduled += other.jobs_scheduled
-            self.jobs_skipped += other.jobs_skipped
-            self.pairs_scheduled += other.pairs_scheduled
-            self.pairs_skipped += other.pairs_skipped
-            self.macs += other.macs
+            for name in _COUNTERS:
+                setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def as_dict(self) -> Dict[str, int]:
         """The eight counters as a plain JSON-ready dict."""
-        return {
-            "conversions": self.conversions,
-            "saturated": self.saturated,
-            "cycles_fed": self.cycles_fed,
-            "jobs_scheduled": self.jobs_scheduled,
-            "jobs_skipped": self.jobs_skipped,
-            "pairs_scheduled": self.pairs_scheduled,
-            "pairs_skipped": self.pairs_skipped,
-            "macs": self.macs,
-        }
+        return {name: getattr(self, name) for name in _COUNTERS}
 
     # Stats cross the process-backend boundary by value; the lock is a
     # per-process concern and must never be pickled (spawn-safe contract).
@@ -194,6 +181,10 @@ class EngineStats:
         self.__dict__.update(state)
         self._lock = threading.Lock()
 
+
+#: the counters of :class:`EngineStats`, in declaration order
+_COUNTERS = ("conversions", "saturated", "cycles_fed", "jobs_scheduled",
+             "jobs_skipped", "pairs_scheduled", "pairs_skipped", "macs")
 
 _STATS_SCOPES = threading.local()
 
@@ -349,28 +340,24 @@ class DieCache:
 
 
 class _IdealConstants(NamedTuple):
-    """Code-derived constants of the ``exact`` and ``integer`` rungs."""
+    """Code-derived constants of the ``integer`` rung."""
 
     #: worst per-conversion partial sum (every input bit on): when it fits
-    #: the ADC, clipping is provably impossible — the ``exact`` predicate
+    #: the ADC, clipping is provably impossible and no pair is bounded
     headroom: int
     #: per-fragment code planes as one float64 GEMM operand, ``(n_frag, m,
     #: cols * S)`` with the dual scheme's planes stacked along the slice
     #: axis (their signs live in the recombination weights).  Exact: every
     #: conversion sums at most ``m`` products of small non-negative ints.
     codes_f: np.ndarray
-    #: per-fragment effective weights ``(n_frag, m, cols)`` — slice place
-    #: values and plane signs folded, fragment signs not — as float64 and
-    #: int64; ``eff_exact`` says the float64 task product is exact (worst
-    #: partial sum below 2**53)
-    eff_f: np.ndarray
-    eff_i: np.ndarray
-    eff_exact: bool
-    #: the same with fragment signs folded, as one ``(padded_rows, cols)``
-    #: matrix: the ``exact`` rung's telescoped operand
+    #: effective weights — slice place values, plane signs and fragment
+    #: signs folded — as one ``(padded_rows, cols)`` matrix: the telescoped
+    #: operand, as float64 and int64
     stack_f: np.ndarray
     stack_i: np.ndarray
-    stack_exact: bool
+    #: every partial sum of the telescoped product and of a clip
+    #: correction is an integer below 2**53, so float64 BLAS is exact
+    float_exact: bool
 
 
 class InSituLayerEngine:
@@ -426,30 +413,20 @@ class InSituLayerEngine:
         dev = device.spec
         self._place = slice_weights(mapped.slices, spec.cell_bits)
         self._v_g_min = dev.read_voltage * dev.g_min
-        self._v_g_step = dev.read_voltage * dev.g_step
-        self._inv_v_g_step = 1.0 / self._v_g_step
+        self._inv_v_g_step = 1.0 / (dev.read_voltage * dev.g_step)
         if mapped.scheme == "dual":
             self._plane_terms = (("positive", 1), ("negative", -1))
         else:
             self._plane_terms = (("main", 1),)
-        # Kernel-task constants (plane signs, signed place values, bit place
-        # values, fragment signs), hoisted out of the per-task hot path.
-        self._plane_signs = np.array([sign for _, sign in self._plane_terms],
-                                     dtype=np.int64)
+        # Kernel-task constants (signed place values, fragment signs),
+        # hoisted out of the per-task hot path.
         self._plane_place = np.stack(
             [sign * self._place for _, sign in self._plane_terms])  # (n, s)
         self._plane_place_f = self._plane_place.ravel().astype(np.float64)
         self._frag_signs_arr = (
             np.where(self.sign_indicator.bits == 1, -1, 1).astype(np.int64)
             if self.sign_indicator is not None else None)
-        # Whether the sparse task's float64 recombination is provably exact:
-        # the worst partial result is one ADC code at full scale times the
-        # summed slice place values times the summed bit place values.
-        self._float_recombine_exact = (
-            float(self.adc.max_code)
-            * float(np.abs(self._plane_place_f).sum())
-            * float(np.int64(1) << activation_bits)) < float(1 << 53)
-        # Constants of the ideal rungs, built lazily on first dispatch
+        # Constants of the ideal rung, built lazily on first dispatch
         # (:meth:`_ideal_constants`).
         self._ideal: Optional[_IdealConstants] = None
         self._init_lock = threading.Lock()
@@ -471,17 +448,6 @@ class InSituLayerEngine:
     # ------------------------------------------------------------------
     # Online die maintenance (the live-recovery path of repro.reram.faults)
     # ------------------------------------------------------------------
-    def reset_plane_caches(self) -> None:
-        """Invalidate the lazily-built code-derived rung constants.
-
-        Must be called after any mutation of ``mapped.code_planes`` /
-        ``conductance`` (an online die fault or swap): the ideal rungs'
-        constants are folded from the codes at first dispatch and would
-        otherwise keep serving the stale die.
-        """
-        with self._init_lock:
-            self._ideal = None
-
     def swap_planes(self, code_planes: Dict[str, np.ndarray],
                     conductance: Dict[str, np.ndarray]) -> None:
         """Replace programmed planes in place — the online die swap.
@@ -493,7 +459,9 @@ class InSituLayerEngine:
         engines (and by the cache itself), so an in-place write would
         corrupt every sharer.  Callers must quiesce concurrent MVMs on this
         engine (the serving stack swaps only at dispatch boundaries, on the
-        batcher thread).
+        batcher thread).  The ideal rung's constants are folded from the
+        codes at first dispatch, so they are dropped here and rebuilt from
+        the new die.
         """
         for plane, codes in code_planes.items():
             if plane not in self.mapped.code_planes:
@@ -506,7 +474,8 @@ class InSituLayerEngine:
                                f"has {sorted(self.conductance)}")
             self.conductance[plane] = cond
         self._swap_epoch += 1
-        self.reset_plane_caches()
+        with self._init_lock:
+            self._ideal = None
 
     # ------------------------------------------------------------------
     # Process-backend transport (spawn-safe pickling)
@@ -536,10 +505,10 @@ class InSituLayerEngine:
         self._init_lock = threading.Lock()
 
     def _ideal_constants(self) -> _IdealConstants:
-        """The ideal rungs' code-derived constants — built once, cached.
+        """The ideal rung's code-derived constants — built once, cached.
 
         Built on first dispatch, not per construction: engines that never
-        reach an ideal rung (noisy die, analog physics) must not pay for
+        reach the ideal rung (noisy die, analog physics) must not pay for
         them — that would undo exactly the setup cost DieCache eliminates
         across sweeps.
         """
@@ -556,11 +525,14 @@ class InSituLayerEngine:
                     axis=-1)                       # (n_frag, m, cols, S)
                 n_frag, m = stacked.shape[:2]
                 eff = np.zeros(stacked.shape[:3], dtype=np.int64)
+                magnitude = np.zeros_like(eff)
                 for plane, sign in self._plane_terms:
-                    eff += sign * (mapped.code_planes[plane]
-                                   * self._place).sum(axis=-1)
-                # worst |partial sum| of one effective weight over all inputs
-                worst = (int(np.abs(eff).max(initial=0))
+                    placed = (mapped.code_planes[plane] * self._place).sum(-1)
+                    eff += sign * placed
+                    magnitude += placed
+                # bounds |partial sum| of one effective weight over all
+                # inputs, and of any clip correction (placed codes >= 0)
+                worst = (int(magnitude.max(initial=0))
                          * ((1 << self.activation_bits) - 1))
                 stack = (eff if self._frag_signs_arr is None
                          else eff * self._frag_signs_arr[:, None, :]
@@ -569,11 +541,8 @@ class InSituLayerEngine:
                     headroom=headroom,
                     codes_f=np.ascontiguousarray(
                         stacked.reshape(n_frag, m, -1).astype(np.float64)),
-                    eff_f=eff.astype(np.float64), eff_i=eff,
-                    eff_exact=(mapped.geometry.fragment_size * worst
-                               < (1 << 53)),
                     stack_f=stack.astype(np.float64), stack_i=stack,
-                    stack_exact=(mapped.geometry.padded_rows * worst
+                    float_exact=(mapped.geometry.padded_rows * worst
                                  < (1 << 53)))
             return self._ideal
 
@@ -618,15 +587,6 @@ class InSituLayerEngine:
         stats.saturated += saturated
         return digital
 
-    def _digitize(self, held: np.ndarray, active: np.ndarray,
-                  stats: EngineStats) -> np.ndarray:
-        """:meth:`_convert_batch` plus shift-and-add slice recombination.
-
-        Returns digital fragment values (jobs, positions, cols).
-        """
-        digital = self._convert_batch(held, active, stats)
-        return np.einsum("jpcs,s->jpc", digital, self._place)
-
     def _plane_pass(self, plane: str, plane_index: int, bit: int,
                     bits_stack: np.ndarray, stats: EngineStats,
                     digest: Optional[int]) -> np.ndarray:
@@ -647,7 +607,8 @@ class InSituLayerEngine:
                                       noise_keys=keys)
         held = self.sample_hold.hold(currents, copy=False)
         active = bits_stack.sum(axis=1)                    # (n_frag, positions)
-        return self._digitize(held, active, stats)
+        return np.einsum("jpcs,s->jpc",
+                         self._convert_batch(held, active, stats), self._place)
 
     # ------------------------------------------------------------------
     # Input preparation
@@ -711,7 +672,7 @@ class InSituLayerEngine:
         """True when every conversion provably equals the integer dot product
         (a variation-free die, no analog physics): the float signal path
         then round-trips integers far below the ADC's rounding threshold,
-        so the ideal rungs produce its bits."""
+        so the ``integer`` rung produces its bits."""
         return (self.device.variation_sigma == 0.0
                 and not self._analog_model_active())
 
@@ -786,38 +747,37 @@ class InSituLayerEngine:
         run = _EXECUTORS[tier]
         profile = self.profile
         if profile is None:
-            return run(self, self._prepare(x_int), pool, tier)
+            return run(self, self._prepare(x_int), pool)
         # Profiling brackets the same executor with two perf_counter reads;
         # the rung is chosen before timing starts.
         start = time.perf_counter()
-        out = run(self, self._prepare(x_int), pool, tier)
+        out = run(self, self._prepare(x_int), pool)
         profile.record(self, tier, time.perf_counter() - start)
         return out
 
     def dispatch_tier(self) -> str:
         """The first :data:`TIERS` rung whose predicate holds right now.
 
-        The one place a rung is chosen.  Inside the ``analog`` and
-        ``integer`` rungs, blocks whose per-fragment grids are too small to
-        amortize a task still run the dense executor
-        (:data:`SPARSE_MIN_TASK_ELEMENTS`) under the same rung.
+        The one place a rung is chosen.  Inside the ``analog`` rung, blocks
+        whose per-fragment grids are too small to amortize a task still run
+        the dense executor (:data:`SPARSE_MIN_TASK_ELEMENTS`).
         """
         return next(name for name, applies, _ in TIERS if applies(self))
 
     def matvec_int_dense(self, x_int: np.ndarray, pool=None) -> np.ndarray:
-        """The dense bit-plane executor under the rung of :meth:`dispatch_tier`.
+        """The dense bit-plane executor over the float signal path.
 
         Decomposes the whole block into a ``(bits, n_frag, m, positions)``
         bit-plane tensor and masks (bit-plane, fragment) jobs only — the
         scheduling baseline of the perf suite, and the executor of the
         ``dense_noise`` rung, where read noise makes zero-skipping lossy.
-        Bit-identical to :meth:`matvec_int`.
+        Bit-identical to :meth:`matvec_int` on every rung (on an ideal die
+        the float path is exact, as the reference loop relies on).
         """
         guard = self.guard
         if guard is not None:
             guard.check(self)
-        return self._matvec_dense(self._prepare(x_int), pool,
-                                  self.dispatch_tier())
+        return self._matvec_dense(self._prepare(x_int), pool)
 
     def _schedule(self, stacked: np.ndarray, n_bits: int):
         """CSR construction for one block with ``n_bits`` bit-planes.
@@ -826,8 +786,10 @@ class InSituLayerEngine:
         — bit ``b`` of ``bits_or[f, p]`` says whether the (b, f) job has
         any live drive at position p — so no dense (bits, n_frag, m,
         positions) tensor is ever built.  Returns ``(bits_or, job_live,
-        local)``: ``job_live`` is (bits, n_frag), ``local`` the call's
-        stats with cycles and job counts booked.
+        scheduled, local)``: ``job_live`` is (bits, n_frag), ``scheduled``
+        the (bit, fragment, position) pairs of the per-fragment ``live
+        bits x live positions`` grids, ``local`` the call's stats with
+        cycles, jobs and pairs booked.
         """
         n_planes = len(self._plane_terms)
         bits_or = np.bitwise_or.reduce(stacked, axis=1)    # (n_frag, positions)
@@ -835,14 +797,19 @@ class InSituLayerEngine:
         shifts = np.arange(n_bits, dtype=np.int64)
         job_live = ((frag_or[None, :] >> shifts[:, None]) & 1).astype(bool)
         n_jobs = int(np.count_nonzero(job_live))
+        scheduled = int((job_live.sum(axis=0) * (bits_or != 0).sum(axis=1)
+                         ).sum())
         local = EngineStats()
         local.cycles_fed += n_bits
         local.jobs_scheduled += n_jobs * n_planes
         local.jobs_skipped += (job_live.size - n_jobs) * n_planes
-        return bits_or, job_live, local
+        local.pairs_scheduled += scheduled * n_planes
+        local.pairs_skipped += (job_live.size * stacked.shape[-1]
+                                - scheduled) * n_planes
+        return bits_or, job_live, scheduled, local
 
     def _telescoped(self, stacked: np.ndarray) -> np.ndarray:
-        """``(cols, positions)`` of a block no conversion of which can clip.
+        """``(cols, positions)`` of a block as if no conversion clipped.
 
         Slice recombination, bit recombination, fragment signs and plane
         signs then telescope into one matmul against the signed effective
@@ -851,38 +818,114 @@ class InSituLayerEngine:
         """
         ideal = self._ideal_constants()
         flat = stacked.reshape(-1, stacked.shape[-1])
-        if ideal.stack_exact:
+        if ideal.float_exact:
             return np.rint(ideal.stack_f.T @ flat.astype(np.float64)
                            ).astype(np.int64)
         return ideal.stack_i.T @ flat
 
-    def _matvec_exact(self, stacked: np.ndarray, pool, tier: str) -> np.ndarray:
-        """The ``exact`` rung: :meth:`_telescoped` over the live positions."""
-        positions = stacked.shape[-1]
+    def _matvec_ideal(self, stacked: np.ndarray, pool) -> np.ndarray:
+        """The ``integer`` rung: one telescoped matmul plus a clip residue.
+
+        A bit of a value is live only where the value is, so contracting
+        a (fragment, position) pair's nonzero mask with the fragment's
+        codes bounds every conversion the pair makes.  Pairs whose bound
+        fits the ADC cannot clip and are exactly the telescoped matmul
+        over the live positions.  The rest are expanded into their live
+        bit-planes, clipped and counted as the ADC does, and (clipped -
+        unclipped) is added as a correction.  When the worst-case partial
+        sum fits the ADC (``headroom``), no pair needs bounding at all.
+        """
+        n_frag, m, positions = stacked.shape
         cols = self.mapped.geometry.cols
         n_planes = len(self._plane_terms)
         out = np.zeros((cols, positions), dtype=np.int64)
         n_bits = int(stacked.max(initial=0)).bit_length()
         if n_bits == 0:
             return self._offset_correction(stacked, out)
-        bits_or, job_live, local = self._schedule(stacked, n_bits)
-        n_jobs = int(np.count_nonzero(job_live))
-        total_pairs = job_live.size * positions
-        live_p = bits_or.any(axis=0)                       # (positions,)
-        k = int(np.count_nonzero(live_p))
-        local.pairs_scheduled += n_jobs * k * n_planes
-        local.pairs_skipped += (total_pairs - n_jobs * k) * n_planes
-        local.conversions += total_pairs * n_planes * cols * self.mapped.slices
-        if k == positions:
+        bits_or, job_live, _, local = self._schedule(stacked, n_bits)
+        # Hardware view: every fed cycle converts every fragment column.
+        local.conversions += (job_live.size * positions * n_planes * cols
+                              * self.mapped.slices)
+        live_p = np.flatnonzero(bits_or.any(axis=0))
+        if live_p.size == positions:
             out = self._telescoped(stacked)
-        elif k:
+        else:
             out[:, live_p] = self._telescoped(stacked[:, :, live_p])
+        ideal = self._ideal_constants()
+        if ideal.headroom > self.adc.max_code:
+            tasks = self._clip_bound(stacked, live_p, n_bits, ideal.codes_f)
+            for (hp, corr), task_stats in self._fan_out(
+                    pool, lambda task, st: self._clip_residue(
+                        stacked, bits_or, task, st), tasks):
+                out[:, hp] += corr.T
+                local.merge(task_stats)
         self._commit_stats(local)
         return self._offset_correction(stacked, out)
 
-    def _matvec_sparse(self, stacked: np.ndarray, pool, tier: str) -> np.ndarray:
-        """The ``analog`` and ``integer`` rungs: one task per (fragment,
-        position chunk), each a ``live bits x live positions`` grid."""
+    def _clip_bound(self, stacked: np.ndarray, live_p: np.ndarray,
+                    n_bits: int, codes_f: np.ndarray
+                    ) -> List[Tuple[int, np.ndarray]]:
+        """``(fragment, positions)`` tasks covering every pair whose bound
+        exceeds the ADC's full-scale code.
+
+        One batched product of the nonzero mask against the code planes;
+        both it and the residue tasks are chunked along positions so no
+        temporary exceeds :data:`FUSED_KERNEL_MAX_ELEMENTS` elements.
+        """
+        n_frag, m, _ = stacked.shape
+        width = codes_f.shape[-1]
+        max_code = float(self.adc.max_code)
+        chunk = max(1, FUSED_KERNEL_MAX_ELEMENTS // (n_frag * max(m, width)))
+        hot = np.empty((n_frag, live_p.size), dtype=bool)
+        for start in range(0, live_p.size, chunk):
+            nz = (stacked[:, :, live_p[start:start + chunk]] != 0
+                  ).astype(np.float64)
+            bound = np.matmul(nz.transpose(0, 2, 1), codes_f).max(axis=-1)
+            hot[:, start:start + chunk] = bound > max_code  # (n_frag, K)
+        chunk = max(1, FUSED_KERNEL_MAX_ELEMENTS // (n_bits * max(m, width)))
+        tasks = []
+        for f in np.flatnonzero(hot.any(axis=1)):
+            hp = live_p[hot[f]]
+            tasks += [(int(f), hp[start:start + chunk])
+                      for start in range(0, hp.size, chunk)]
+        return tasks
+
+    def _clip_residue(self, stacked: np.ndarray, bits_or: np.ndarray,
+                      task: Tuple[int, np.ndarray], stats: EngineStats):
+        """``(positions, (K, cols) correction)`` of one fragment's hot pairs.
+
+        Each conversion is the exact integer dot product, one float64 GEMM
+        over the pairs' live bit-planes; only the full-scale rail can clip
+        (bits and codes are non-negative).
+        """
+        f, hp = task
+        cols = self.mapped.geometry.cols
+        ideal = self._ideal_constants()
+        live = int(np.bitwise_or.reduce(bits_or[f, hp]))
+        lb = np.flatnonzero((live >> np.arange(live.bit_length())) & 1)
+        bits = (stacked[f][:, hp][None, :, :] >> lb[:, None, None]) & 1
+        dots = (bits.transpose(0, 2, 1).reshape(lb.size * hp.size, -1)
+                .astype(np.float64) @ ideal.codes_f[f])     # (B*K, cols*S)
+        diff = np.minimum(dots, float(self.adc.max_code)) - dots
+        stats.saturated += int(np.count_nonzero(diff))
+        # The trailing GEMM axis is (cols, planes, slices) — the stacking
+        # order of codes_f — and _plane_place carries the plane signs.
+        diff = diff.reshape(lb.size, hp.size, cols, -1)
+        bit_weight = np.int64(1) << lb
+        if ideal.float_exact:
+            corr = np.rint(np.tensordot(bit_weight.astype(np.float64),
+                                        diff @ self._plane_place_f,
+                                        axes=([0], [0]))).astype(np.int64)
+        else:
+            corr = np.einsum("bkcn,n,b->kc", diff.astype(np.int64),
+                             self._plane_place.ravel(), bit_weight)
+        if self._frag_signs_arr is not None:
+            corr *= self._frag_signs_arr[f]
+        return hp, corr
+
+    def _matvec_sparse(self, stacked: np.ndarray, pool) -> np.ndarray:
+        """The ``analog`` rung: one task per (fragment, position chunk),
+        each a ``live bits x live positions`` grid."""
         n_frag, m, positions = stacked.shape
         cols = self.mapped.geometry.cols
         slices = self.mapped.slices
@@ -892,19 +935,15 @@ class InSituLayerEngine:
         n_bits = int(stacked.max(initial=0)).bit_length()
         if n_bits == 0:
             return self._offset_correction(stacked, out)
-        bits_or, job_live, local = self._schedule(stacked, n_bits)
-        total_pairs = job_live.size * positions
+        bits_or, job_live, scheduled, local = self._schedule(stacked, n_bits)
 
         # When the average per-fragment grid is too small to amortize a
         # kernel task (many fragments, few positions), the dense masked
         # kernel is the faster executor for the same rung.
-        live_bits_per_frag = job_live.sum(axis=0)          # (n_frag,)
-        live_pos_per_frag = (bits_or != 0).sum(axis=1)     # (n_frag,)
-        n_live_frag = int(np.count_nonzero(live_pos_per_frag))
-        scheduled = int((live_bits_per_frag * live_pos_per_frag).sum())
+        n_live_frag = int(np.count_nonzero(bits_or.any(axis=1)))
         if (scheduled * cols * slices * n_planes / max(1, n_live_frag)
                 < SPARSE_MIN_TASK_ELEMENTS):
-            return self._matvec_dense(stacked, pool, tier)
+            return self._matvec_dense(stacked, pool)
 
         # Tasks are independent — they touch disjoint (fragment, position)
         # conversions — so they can fan out across workers; accumulation
@@ -920,94 +959,19 @@ class InSituLayerEngine:
             chunk = max(1, FUSED_KERNEL_MAX_ELEMENTS // per_pos)
             for start in range(0, lp.size, chunk):
                 tasks.append((f, lb, lp[start:start + chunk]))
-        local.pairs_scheduled += scheduled * n_planes
-        local.pairs_skipped += (total_pairs - scheduled) * n_planes
         # Hardware view: the skipped conversions still happen (a silent
         # fragment column converts code 0); account them without computing.
-        local.conversions += ((total_pairs - scheduled)
+        local.conversions += ((job_live.size * positions - scheduled)
                               * n_planes * cols * slices)
 
         bit_weight = np.int64(1) << np.arange(n_bits, dtype=np.int64)
-        run = (self._run_sparse_task_ideal if tier == "integer"
-               else self._run_sparse_task_analog)
         for (f, lp, res), task_stats in self._fan_out(
-                pool, lambda task, st: run(stacked, bit_weight, task, st),
-                tasks):
+                pool, lambda task, st: self._run_sparse_task_analog(
+                    stacked, bit_weight, task, st), tasks):
             out[:, lp] += res.T
             local.merge(task_stats)
         self._commit_stats(local)
         return self._offset_correction(stacked, out)
-
-    def _run_sparse_task_ideal(self, stacked: np.ndarray,
-                               bit_weight: np.ndarray,
-                               task: Tuple[int, np.ndarray, np.ndarray],
-                               stats: EngineStats):
-        """The ``integer`` rung's kernel for one (fragment, live grid) task.
-
-        Each conversion is the exact integer dot product, computed as one
-        float64 GEMM (exact: sums of small non-negative integers) and
-        clipped/counted exactly as the ADC rounds.
-
-        Before expanding bit-planes, the task tests a cheap clipping bound:
-        every conversion's dot product is bounded by the same contraction
-        over the *nonzero mask* of the fragment's rows (a bit of a value is
-        live only where the value is).  When that bound fits the ADC, no
-        conversion of this task can clip and the bit-serial pipeline
-        telescopes into one value-level GEMM against the effective weight
-        stack — the data-dependent, per-task version of the ``exact`` rung
-        (the hardware's "typical-case sums don't saturate" argument,
-        applied opportunistically and provably).
-        """
-        f, lb, lp = task
-        m = stacked.shape[1]
-        cols = self.mapped.geometry.cols
-        slices = self.mapped.slices
-        n_planes = len(self._plane_terms)
-        ideal = self._ideal_constants()
-        frag_signs = self._frag_signs_arr
-        sub = stacked[f][:, lp]                            # (m, K)
-        max_code = float(self.adc.max_code)
-        if lb.size > 1:
-            nz = (sub != 0).T.astype(np.float64)           # (K, m)
-            bound = nz @ ideal.codes_f[f]                  # (K, cols*S)
-            if bound.max(initial=0.0) <= max_code:
-                stats.conversions += (lb.size * lp.size * cols * slices
-                                      * n_planes)
-                if ideal.eff_exact:
-                    res = np.rint(sub.T.astype(np.float64)
-                                  @ ideal.eff_f[f]).astype(np.int64)
-                else:
-                    res = sub.T @ ideal.eff_i[f]           # (K, cols)
-                if frag_signs is not None:
-                    res = res * frag_signs[f]
-                return f, lp, res
-        bits = (sub[None, :, :] >> lb[:, None, None]) & 1
-        gemm_in = bits.transpose(0, 2, 1).reshape(-1, m).astype(np.float64)
-        dots = gemm_in @ ideal.codes_f[f]                  # (B*K, cols*S)
-        # Integer tier underflow is impossible (bits and codes are
-        # non-negative), so only the full-scale rail can clip.
-        digital = np.minimum(dots, float(self.adc.max_code))
-        stats.conversions += dots.size
-        stats.saturated += int(np.count_nonzero(digital != dots))
-        # Recombination in float64 BLAS when provably exact (the engine
-        # checks the worst partial result against 2**53 at construction),
-        # else in an int64 contraction.  The trailing GEMM axis is
-        # (cols, planes, slices) — the stacking order of codes_f —
-        # and _plane_place_f carries the plane signs.
-        if self._float_recombine_exact:
-            combined = (digital.reshape(-1, cols, n_planes * slices)
-                        @ self._plane_place_f).reshape(lb.size, lp.size, cols)
-            res = np.tensordot(bit_weight[lb].astype(np.float64), combined,
-                               axes=([0], [0]))            # (K, cols)
-            res = np.rint(res).astype(np.int64)
-        else:
-            vals = digital.astype(np.int64).reshape(
-                lb.size, lp.size, cols, n_planes, slices)
-            res = np.einsum("bkcns,s,n,b->kc", vals, self._place,
-                            self._plane_signs, bit_weight[lb], optimize=True)
-        if frag_signs is not None:
-            res = res * frag_signs[f]
-        return f, lp, res
 
     def _run_sparse_task_analog(self, stacked: np.ndarray,
                                 bit_weight: np.ndarray,
@@ -1054,11 +1018,10 @@ class InSituLayerEngine:
     # ------------------------------------------------------------------
     # Dense bit-plane executor (the scheduling baseline / noise path)
     # ------------------------------------------------------------------
-    def _matvec_dense(self, stacked: np.ndarray, pool, tier: str) -> np.ndarray:
-        """Any rung over the dense (bit-plane, fragment) job grid."""
-        geometry = self.mapped.geometry
+    def _matvec_dense(self, stacked: np.ndarray, pool) -> np.ndarray:
+        """The float signal path over the dense (bit-plane, fragment) grid."""
         n_frag, m, positions = stacked.shape
-        cols = geometry.cols
+        cols = self.mapped.geometry.cols
         slices = self.mapped.slices
         n_planes = len(self._plane_terms)
 
@@ -1079,7 +1042,7 @@ class InSituLayerEngine:
         # hardware's terms (identical to the per-bit reference loop).  With
         # conversion noise the mask must stay full: silent fragments still
         # convert, and the ADC rectifies their noise into a real pedestal.
-        noisy = tier == "dense_noise"
+        noisy = self._conversion_noise_active()
         if noisy:
             live = np.ones((n_bits, n_frag), dtype=bool)
         else:
@@ -1094,14 +1057,6 @@ class InSituLayerEngine:
         local.conversions += ((n_bits * n_frag - n_jobs)
                               * positions * cols * slices * n_planes)
         digest = self._input_digest(stacked) if noisy else None
-
-        if tier == "exact":
-            local.conversions += (n_jobs * positions * cols * slices
-                                  * n_planes)
-            out = self._telescoped(stacked)
-            self._commit_stats(local)
-            return self._offset_correction(stacked, out)
-        ideal = tier == "integer"
 
         # Per-(job, slice) shift-and-add weights: ADC place value x input-bit
         # place value x plane sign — and per-(job, col) fragment signs.
@@ -1136,37 +1091,22 @@ class InSituLayerEngine:
                     [sign * slice_w for _, sign in self._plane_terms])
                 if col_w is not None:
                     col_w = np.concatenate([col_w] * n_planes)
-            if ideal:
-                # Integer kernel tier: each conversion is the integer dot
-                # product, clipped at the rails exactly as the ADC rounds.
-                codes = (self.mapped.code_planes[self._plane_terms[0][0]][f]
-                         if n_planes == 1 else np.concatenate(
-                             [self.mapped.code_planes[name][f]
-                              for name, _ in self._plane_terms]))
-                bits_in = (bit_planes if n_planes == 1
-                           else np.concatenate([bit_planes] * n_planes))
-                dots = np.einsum("jmp,jmcs->jpcs", bits_in, codes,
-                                 optimize=True)
-                digital = np.clip(dots, 0, self.adc.max_code)
-                stats.conversions += dots.size
-                stats.saturated += int(np.count_nonzero(digital != dots))
-            else:
-                drive = self.dac.convert(bit_planes)
-                active = bit_planes.sum(axis=1, dtype=np.int64)
-                cond = (self.conductance[self._plane_terms[0][0]][f]
-                        if n_planes == 1 else np.concatenate(
-                            [self.conductance[name][f]
-                             for name, _ in self._plane_terms]))
-                keys = None
-                if digest is not None:
-                    keys = np.concatenate([_noise_keys(digest, pi, b, f)
-                                           for pi in range(n_planes)])
-                if n_planes > 1:
-                    drive = np.concatenate([drive] * n_planes)
-                    active = np.concatenate([active] * n_planes)
-                currents = self._job_currents(cond, drive, noise_keys=keys)
-                held = self.sample_hold.hold(currents, copy=False)
-                digital = self._convert_batch(held, active, stats)
+            drive = self.dac.convert(bit_planes)
+            active = bit_planes.sum(axis=1, dtype=np.int64)
+            cond = (self.conductance[self._plane_terms[0][0]][f]
+                    if n_planes == 1 else np.concatenate(
+                        [self.conductance[name][f]
+                         for name, _ in self._plane_terms]))
+            keys = None
+            if digest is not None:
+                keys = np.concatenate([_noise_keys(digest, pi, b, f)
+                                       for pi in range(n_planes)])
+            if n_planes > 1:
+                drive = np.concatenate([drive] * n_planes)
+                active = np.concatenate([active] * n_planes)
+            currents = self._job_currents(cond, drive, noise_keys=keys)
+            held = self.sample_hold.hold(currents, copy=False)
+            digital = self._convert_batch(held, active, stats)
             if col_w is None:
                 return np.einsum("jpcs,js->pc", digital, slice_w)
             return np.einsum("jpc,jc->pc",
@@ -1247,9 +1187,9 @@ def build_engine(levels_matrix: np.ndarray, geometry: FragmentGeometry,
 
 
 #: The dispatch ladder, in order: ``(tier, applies(engine), run(engine,
-#: stacked, pool, tier))``.  :meth:`InSituLayerEngine.dispatch_tier` picks
-#: the first rung whose predicate holds, so each predicate may assume the
-#: rungs above it did not apply.  The names label the engine profile
+#: stacked, pool))``.  :meth:`InSituLayerEngine.dispatch_tier` picks the
+#: first rung whose predicate holds, so each predicate may assume the rungs
+#: above it did not apply.  The names label the engine profile
 #: (``forms_engine_profile_seconds{tier}``) and ``benchmarks/e2e``'s
 #: ``engine.mvm_us.<tier>``.
 TIERS = (
@@ -1261,12 +1201,8 @@ TIERS = (
     # over the live grid (zero drive maps to code 0 exactly)
     ("analog", lambda engine: not engine._signal_path_ideal(),
      InSituLayerEngine._matvec_sparse),
-    # ideal path, worst-case partial sum fits the ADC: one telescoped matmul
-    ("exact", lambda engine: (engine._ideal_constants().headroom
-                              <= engine.adc.max_code),
-     InSituLayerEngine._matvec_exact),
-    # ideal path, clipping ADC: exact integer GEMMs, clipped as the ADC does
-    ("integer", lambda engine: True, InSituLayerEngine._matvec_sparse),
+    # ideal path: one telescoped matmul, clip residue applied as a correction
+    ("integer", lambda engine: True, InSituLayerEngine._matvec_ideal),
 )
 _EXECUTORS = {name: run for name, _, run in TIERS}
 

@@ -138,7 +138,7 @@ def _process_tile_task(task, *, shipment, collect_spans=False):
     from .process import load_shipment
 
     tile, images = task
-    model, _engines = load_shipment(shipment)
+    model = load_shipment(shipment)
     engines = collect_engines(model)
     before = {name: engine.stats.as_dict() for name, engine in engines.items()}
     recorder = SpanRecorder() if collect_spans else None
@@ -173,7 +173,9 @@ def _infer_tiles_process(model, images, tiles, pool, collect_stats,
     engines = collect_engines(model)
     version = tuple(getattr(engine, "_swap_epoch", 0)
                     for engine in engines.values())
-    shipment = pool.ship((model, engines), version=version)
+    # The model itself is the memo key: one shipment serves every batch
+    # until a die swap bumps an engine's epoch.
+    shipment = pool.ship(model, version=version)
     collect_spans = span_recorders is not None
     run = functools.partial(_process_tile_task, shipment=shipment,
                             collect_spans=collect_spans)

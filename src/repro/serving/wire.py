@@ -44,6 +44,7 @@ import base64
 import io
 import json
 import re
+import threading
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -130,10 +131,19 @@ def encode_array(array: np.ndarray) -> str:
     return base64.b64encode(buffer.getvalue()).decode("ascii")
 
 
+#: ``np.load`` parses the ``.npy`` header with ``ast.literal_eval``, which
+#: is not thread-safe on CPython 3.11: concurrent decodes on the front
+#: ends' worker threads can fail with "AST constructor recursion depth
+#: mismatch".  One lock serialises the load; the base64 decode stays
+#: concurrent.
+_NPY_LOAD_LOCK = threading.Lock()
+
+
 def decode_array_b64(data: str) -> np.ndarray:
     try:
         raw = base64.b64decode(data, validate=True)
-        return np.load(io.BytesIO(raw), allow_pickle=False)
+        with _NPY_LOAD_LOCK:
+            return np.load(io.BytesIO(raw), allow_pickle=False)
     except Exception as exc:
         raise WireFormatError(400, "invalid_input",
                               f"undecodable base64 .npy payload: {exc}")

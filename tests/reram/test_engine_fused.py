@@ -1,7 +1,8 @@
 """Fused bit-plane kernel equivalence — the retained oracle earns its keep.
 
 ``matvec_int`` runs one rung of the dispatch ladder ``TIERS`` (read-noise
-dense grid, analog kernel, exact matmul, integer kernel); every rung must
+dense grid, analog kernel, telescoped integer matmul with its clip
+residue); every rung must
 stay bit-exact against the original cycle-by-cycle loop retained as
 ``matvec_int_reference``.  These tests pin
 that equivalence across mapping schemes, geometries (odd/padded row counts),
@@ -50,15 +51,18 @@ def noise_engine(mapped):
                           read_noise=noise)
 
 
-#: one engine per rung of the dispatch ladder, built from a mapped layer
+#: engines per rung of the dispatch ladder, built from a mapped layer; the
+#: ``integer`` rung runs under a wide ADC (nothing can clip, no pair is
+#: bounded) and a clipping one (the residue path corrects clipped pairs)
 RUNG_CASES = {
-    "dense_noise": noise_engine,
-    "analog": lambda mapped: InSituLayerEngine(
-        mapped, ReRAMDevice(DeviceSpec(), 0.1, seed=5), activation_bits=10),
-    "exact": lambda mapped: InSituLayerEngine(
-        mapped, ideal_device(), activation_bits=10),
-    "integer": lambda mapped: InSituLayerEngine(
-        mapped, ideal_device(), adc=ADCSpec(bits=3), activation_bits=10),
+    "dense_noise": (noise_engine,),
+    "analog": (lambda mapped: InSituLayerEngine(
+        mapped, ReRAMDevice(DeviceSpec(), 0.1, seed=5), activation_bits=10),),
+    "integer": (
+        lambda mapped: InSituLayerEngine(
+            mapped, ideal_device(), activation_bits=10),
+        lambda mapped: InSituLayerEngine(
+            mapped, ideal_device(), adc=ADCSpec(bits=3), activation_bits=10)),
 }
 
 
@@ -79,12 +83,13 @@ class TestDispatchLadder:
         x = rng.integers(0, 2 ** 10, size=(geom.rows, 7))
         x[rng.random(x.shape) < 0.5] = 0
         x[::geom.fragment_size] = 2 ** 10 - 1   # one full row per fragment
-        fused, ref, dense = (RUNG_CASES[tier](mapped) for _ in range(3))
-        assert fused.dispatch_tier() == tier
-        out = fused.matvec_int(x)
-        np.testing.assert_array_equal(out, ref.matvec_int_reference(x))
-        assert fused.stats.as_dict() == ref.stats.as_dict()
-        np.testing.assert_array_equal(dense.matvec_int_dense(x), out)
+        for make in RUNG_CASES[tier]:
+            fused, ref, dense = (make(mapped) for _ in range(3))
+            assert fused.dispatch_tier() == tier
+            out = fused.matvec_int(x)
+            np.testing.assert_array_equal(out, ref.matvec_int_reference(x))
+            assert fused.stats.as_dict() == ref.stats.as_dict()
+            np.testing.assert_array_equal(dense.matvec_int_dense(x), out)
 
 
 class TestFusedEqualsReference:
@@ -122,6 +127,23 @@ class TestFusedEqualsReference:
         # both paths count the same clipped conversions
         assert engine.stats.saturated == 2 * fused_sat
         assert fused_sat > 0
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_int64_fallback_wide_activations(self, scheme):
+        """48-bit activations push the telescoped product and the clip
+        correction past float64's exact range: the int64 fallback must
+        still match the oracle, clipped conversions included."""
+        levels, geom = polarized_case((4, 2, 3, 3), 4, seed=28)
+        rng = np.random.default_rng(29)
+        x = rng.integers(0, 2 ** 48, size=(geom.rows, 5))
+        x[rng.random(x.shape) < 0.3] = 0
+        fused, ref = (build_engine(levels, geom, QSPEC, ideal_device(),
+                                   scheme=scheme, adc=ADCSpec(bits=3),
+                                   activation_bits=48) for _ in range(2))
+        out = fused.matvec_int(x)
+        assert not fused._ideal_constants().float_exact
+        np.testing.assert_array_equal(out, ref.matvec_int_reference(x))
+        assert fused.stats.saturated == ref.stats.saturated > 0
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_1d_input(self, scheme):

@@ -1,8 +1,9 @@
 """Sparse CSR job scheduler equivalence and accounting.
 
-``matvec_int`` now schedules the activation block's nonzero structure
-(per-fragment live-bits x live-positions grids, with a telescoped
-no-clip shortcut per task); these tests pin it bit-exact against both the
+``matvec_int`` schedules the activation block's nonzero structure
+(per-fragment live-bits x live-positions grids on the analog rung, one
+telescoped matmul plus a clip residue on the ideal one); these tests pin
+it bit-exact against both the
 retained dense bit-plane kernel (``matvec_int_dense``) and the
 cycle-by-cycle oracle (``matvec_int_reference``) across mapping schemes,
 tiers, edge-case inputs and worker counts — plus the keyed read-noise
@@ -128,17 +129,17 @@ class TestSparseEqualsReference:
                                       engine.matvec_int_reference(x))
 
     def test_hybrid_fallback_matches(self, monkeypatch):
-        """The small-task dense fallback is a pure executor choice."""
+        """The analog rung's small-task dense fallback is a pure executor
+        choice."""
         levels, geom = polarized_case((4, 2, 3, 3), 4, seed=9)
         x = sparse_block(geom, 4, positions=3)
-        always = build_engine(levels, geom, QSPEC,
-                              ideal_device(), adc=ADCSpec(bits=3),
+        device = ReRAMDevice(DeviceSpec(), variation_sigma=0.1, seed=5)
+        engine = build_engine(levels, geom, QSPEC, device,
                               activation_bits=12)
-        expected = always.matvec_int(x)
+        assert engine.dispatch_tier() == "analog"
+        expected = engine.matvec_int(x)
         monkeypatch.setattr(engine_mod, "SPARSE_MIN_TASK_ELEMENTS", 1 << 30)
-        hybrid = build_engine(levels, geom, QSPEC, ideal_device(),
-                              adc=ADCSpec(bits=3), activation_bits=12)
-        np.testing.assert_array_equal(hybrid.matvec_int(x), expected)
+        np.testing.assert_array_equal(engine.matvec_int(x), expected)
 
     def test_chunked_kernel_identical(self, monkeypatch):
         """The chunk budget is a pure memory knob on the sparse path too."""

@@ -230,6 +230,32 @@ class TestShipments:
         np.testing.assert_array_equal(loaded["k"], obj["k"])
         assert load_shipment(shipment) is loaded  # token-cached
 
+    def test_network_ships_once_across_batches(self, process_pool):
+        """Every batch of one network reuses the first batch's shipment:
+        one memo entry, no new segments, unchanged outputs."""
+        from repro.reram import ADCSpec, paper_adc_bits
+        from repro.reram.inference import build_insitu_network
+        from repro.runtime import infer_tiles, iter_tiles
+        from repro.serving.demo import post_relu_network
+
+        model, config, images = post_relu_network()
+        net, _ = build_insitu_network(
+            model, config, ReRAMDevice(DeviceSpec(), 0.0),
+            adc=ADCSpec(bits=paper_adc_bits(config.fragment_size)),
+            activation_bits=12)
+        tiles = list(iter_tiles(images.shape[0], 2))
+        expected = infer_tiles(net, images, tiles, workers=1)
+        memo_before = len(process_pool._shipments)
+        segments = None
+        for _ in range(4):
+            outs = infer_tiles(net, images, tiles, pool=process_pool)
+            for out, want in zip(outs, expected):
+                np.testing.assert_array_equal(out, want)
+            if segments is None:
+                segments = set(process_pool.plane_pool.segment_names())
+            assert set(process_pool.plane_pool.segment_names()) == segments
+        assert len(process_pool._shipments) == memo_before + 1
+
 
 class TestCleanup:
     """Leak checks are delta-based: the module-scoped pool is still open

@@ -241,11 +241,17 @@ class TestBatchEndpointErrors(OnThreaded):
 
 
 class TestShedOverTheWire(OnThreaded):
-    def make_slow_frontend(self, *, admission=None, delay=0.35):
+    def make_slow_frontend(self, *, admission=None, delay=0.35, gate=None):
+        """``gate`` — an ``(entered, release)`` pair of events — holds each
+        forward until released instead of sleeping ``delay``."""
         registry = ModelRegistry(workers=1)
 
         def slow(tensor):
-            time.sleep(delay)
+            if gate is None:
+                time.sleep(delay)
+            else:
+                gate[0].set()
+                gate[1].wait(timeout=10.0)
             return toy_network(tensor)
 
         registry.register_network("slow", slow, image_shape=(4,))
@@ -273,17 +279,20 @@ class TestShedOverTheWire(OnThreaded):
         assert receipt["queue_wait_s"] >= 0.0
 
     def test_admission_refusal_is_immediate(self):
+        entered, release = threading.Event(), threading.Event()
         frontend = self.make_slow_frontend(
-            admission=AdmissionController(max_queue_depth=1))
+            admission=AdmissionController(max_queue_depth=1),
+            gate=(entered, release))
         client = HttpClient.for_frontend(frontend)
+        threads = [threading.Thread(
+            target=lambda: client.request(
+                "POST", "/v1/infer", {"input": IMAGE.tolist()}))
+            for _ in range(2)]
         try:
-            threads = [threading.Thread(
-                target=lambda: client.request(
-                    "POST", "/v1/infer", {"input": IMAGE.tolist()}))
-                for _ in range(3)]
-            for thread in threads:
-                thread.start()
-            # dispatch busy + one queued => depth >= 1
+            threads[0].start()
+            assert entered.wait(timeout=5.0)   # blocker 1 holds dispatch
+            threads[1].start()
+            # dispatch held + blocker 2 queued => depth >= 1
             waited = time.monotonic() + 5.0
             while (frontend.server.queue.depth < 1
                    and time.monotonic() < waited):
@@ -292,9 +301,10 @@ class TestShedOverTheWire(OnThreaded):
             with pytest.raises(HttpError) as caught:
                 client.infer(IMAGE)
             refusal_s = time.monotonic() - started
+        finally:
+            release.set()
             for thread in threads:
                 thread.join(timeout=10.0)
-        finally:
             frontend.shutdown()
         assert caught.value.code == "shed"
         assert caught.value.receipt["reason"] == "admission"

@@ -8,11 +8,13 @@ sheds, admission refusals) must never perturb the bits of surviving
 requests.
 """
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.nn.tensor import Tensor
 from repro.reram import ADCSpec, DeviceSpec, ReRAMDevice, paper_adc_bits
 from repro.reram.nonideal import ReadNoise
 from repro.reram.nonideal_engine import NonidealEngine
@@ -105,15 +107,26 @@ class TestSheddingIsolation:
         receipt and never reaches the dispatch path."""
         images = tenants[2]
         registry = make_registry(tenants, workers=1)
+        entered, release = threading.Event(), threading.Event()
+
+        def gated(tensor):
+            entered.set()
+            release.wait(timeout=10.0)
+            return Tensor(tensor.data.reshape(tensor.data.shape[0], -1))
+
+        registry.register_network("gate", gated, image_shape=images.shape[1:])
         policy = SlaPolicy((PriorityClass("only", max_batch=1,
                                           max_wait_s=0.0),))
         with registry, InferenceServer(registry=registry,
                                        policy=policy) as server:
-            blockers = [server.submit_async(images[i % 8], model="batch")
-                        for i in range(10)]
-            time.sleep(0.02)        # the first dispatch is now in flight
+            blockers = [server.submit_async(images[0], model="gate")]
+            assert entered.wait(timeout=10.0)  # the gate holds dispatch
+            blockers += [server.submit_async(images[i % 8], model="batch")
+                         for i in range(9)]
             victim = server.submit_async(images[0], model="fast",
                                          deadline_s=1e-4)
+            time.sleep(0.01)        # the victim's deadline passes in queue
+            release.set()
             with pytest.raises(RequestShed) as info:
                 victim.result(timeout=30.0)
             receipt = info.value.receipt

@@ -17,7 +17,10 @@ ride it end to end (that *is* the documented contract); base64 ``.npy``
 carries every dtype, exotic NaN payload bits included.
 """
 
+import ast
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -107,6 +110,45 @@ class TestCodecRoundTrip:
             decode_array_b64("not-base64!!")
         with pytest.raises(WireFormatError):
             decode_array_b64("aGVsbG8=")   # valid base64, not a .npy
+
+    def test_concurrent_decodes_parse_headers_one_at_a_time(self,
+                                                            monkeypatch):
+        """``np.load`` parses the header with ``ast.literal_eval``, which
+        is not thread-safe: concurrent decodes must never overlap in it."""
+        lock = threading.Lock()
+        inside, peak = [0], [0]
+        literal_eval = ast.literal_eval
+
+        def spy(node_or_string):
+            with lock:
+                inside[0] += 1
+                peak[0] = max(peak[0], inside[0])
+            time.sleep(0.005)
+            try:
+                return literal_eval(node_or_string)
+            finally:
+                with lock:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(ast, "literal_eval", spy)
+        payload = encode_array(np.arange(12, dtype=np.float32).reshape(3, 4))
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def decode(i):
+            barrier.wait()
+            results[i] = decode_array_b64(payload)
+
+        threads = [threading.Thread(target=decode, args=(i,))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert peak[0] == 1
+        for result in results:
+            assert_byte_exact(result, np.arange(12, dtype=np.float32
+                                                ).reshape(3, 4))
 
 
 # ---------------------------------------------------------------------------
