@@ -7,7 +7,8 @@
 #    command is `pytest -x -q` without the marker filter; the slow
 #    training-driver tests are nightly material).  Every serving contract
 #    lives here: bit-identity through each transport, backend and fault
-#    path, the wire error table, drain, telemetry.
+#    path, the wire error table, drain, telemetry.  `--durations=15`
+#    names the fifteen slowest tests in every log (output only).
 # 2. `run_perf_suite.py --smoke` — the fused-vs-reference engine micro
 #    table, written to a throwaway path; exits non-zero if the headline
 #    (mvm_forms_16bit_128pos) falls below its 5x floor.
@@ -40,7 +41,8 @@ set -e
 cd "$(dirname "$0")/.."
 
 echo "==> tier-1 (fast signal): pytest -m 'not slow'"
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -m "not slow"
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -m "not slow" \
+    --durations=15
 
 echo "==> perf gate: run_perf_suite.py --smoke"
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/run_perf_suite.py \

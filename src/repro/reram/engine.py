@@ -342,9 +342,10 @@ class DieCache:
 class _IdealConstants(NamedTuple):
     """Code-derived constants of the ``integer`` rung."""
 
-    #: worst per-conversion partial sum (every input bit on): when it fits
-    #: the ADC, clipping is provably impossible and no pair is bounded
-    headroom: int
+    #: each fragment's worst per-conversion partial sum (every input bit
+    #: on), ``(n_frag,)``: a fragment whose headroom fits the ADC provably
+    #: never clips, so none of its pairs is bounded
+    frag_headroom: np.ndarray
     #: per-fragment code planes as one float64 GEMM operand, ``(n_frag, m,
     #: cols * S)`` with the dual scheme's planes stacked along the slice
     #: axis (their signs live in the recombination weights).  Exact: every
@@ -518,8 +519,6 @@ class InSituLayerEngine:
         with self._init_lock:
             if self._ideal is None:
                 mapped = self.mapped
-                headroom = max(int(codes.sum(axis=1).max(initial=0))
-                               for codes in mapped.code_planes.values())
                 stacked = np.concatenate(
                     [mapped.code_planes[name] for name, _ in self._plane_terms],
                     axis=-1)                       # (n_frag, m, cols, S)
@@ -538,7 +537,8 @@ class InSituLayerEngine:
                          else eff * self._frag_signs_arr[:, None, :]
                          ).reshape(-1, mapped.geometry.cols)
                 self._ideal = _IdealConstants(
-                    headroom=headroom,
+                    frag_headroom=stacked.sum(axis=1).reshape(n_frag, -1)
+                    .max(axis=1, initial=0),
                     codes_f=np.ascontiguousarray(
                         stacked.reshape(n_frag, m, -1).astype(np.float64)),
                     stack_f=stack.astype(np.float64), stack_i=stack,
@@ -832,8 +832,9 @@ class InSituLayerEngine:
         fits the ADC cannot clip and are exactly the telescoped matmul
         over the live positions.  The rest are expanded into their live
         bit-planes, clipped and counted as the ADC does, and (clipped -
-        unclipped) is added as a correction.  When the worst-case partial
-        sum fits the ADC (``headroom``), no pair needs bounding at all.
+        unclipped) is added as a correction.  Only fragments whose worst-
+        case partial sum exceeds the ADC (``frag_headroom``) are bounded
+        at all: every pair of the others fits by construction.
         """
         n_frag, m, positions = stacked.shape
         cols = self.mapped.geometry.cols
@@ -852,75 +853,73 @@ class InSituLayerEngine:
         else:
             out[:, live_p] = self._telescoped(stacked[:, :, live_p])
         ideal = self._ideal_constants()
-        if ideal.headroom > self.adc.max_code:
-            tasks = self._clip_bound(stacked, live_p, n_bits, ideal.codes_f)
+        clip_f = np.flatnonzero(ideal.frag_headroom > self.adc.max_code)
+        if clip_f.size:
+            tasks = self._clip_bound(stacked, live_p, n_bits, clip_f,
+                                     ideal.codes_f)
             for (hp, corr), task_stats in self._fan_out(
                     pool, lambda task, st: self._clip_residue(
                         stacked, bits_or, task, st), tasks):
-                out[:, hp] += corr.T
+                # several fragments can be hot at one position
+                np.add.at(out.T, hp, corr)
                 local.merge(task_stats)
         self._commit_stats(local)
         return self._offset_correction(stacked, out)
 
     def _clip_bound(self, stacked: np.ndarray, live_p: np.ndarray,
-                    n_bits: int, codes_f: np.ndarray
-                    ) -> List[Tuple[int, np.ndarray]]:
-        """``(fragment, positions)`` tasks covering every pair whose bound
-        exceeds the ADC's full-scale code.
-
-        One batched product of the nonzero mask against the code planes;
-        both it and the residue tasks are chunked along positions so no
-        temporary exceeds :data:`FUSED_KERNEL_MAX_ELEMENTS` elements.
+                    n_bits: int, clip_f: np.ndarray, codes_f: np.ndarray
+                    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """``(fragments, positions)`` tasks covering every pair of the
+        fragments ``clip_f`` whose bound exceeds the ADC's full-scale code:
+        one batched product of their nonzero masks against their codes.
+        Bound and residue are chunked so no temporary exceeds
+        :data:`FUSED_KERNEL_MAX_ELEMENTS` elements.
         """
-        n_frag, m, _ = stacked.shape
-        width = codes_f.shape[-1]
-        max_code = float(self.adc.max_code)
-        chunk = max(1, FUSED_KERNEL_MAX_ELEMENTS // (n_frag * max(m, width)))
-        hot = np.empty((n_frag, live_p.size), dtype=bool)
+        m = stacked.shape[1]
+        width = max(m, codes_f.shape[-1])
+        if clip_f.size < stacked.shape[0]:
+            stacked, codes_f = stacked[clip_f], codes_f[clip_f]
+        chunk = max(1, FUSED_KERNEL_MAX_ELEMENTS // (clip_f.size * width))
+        hot = np.empty((clip_f.size, live_p.size), dtype=bool)
         for start in range(0, live_p.size, chunk):
             nz = (stacked[:, :, live_p[start:start + chunk]] != 0
                   ).astype(np.float64)
             bound = np.matmul(nz.transpose(0, 2, 1), codes_f).max(axis=-1)
-            hot[:, start:start + chunk] = bound > max_code  # (n_frag, K)
-        chunk = max(1, FUSED_KERNEL_MAX_ELEMENTS // (n_bits * max(m, width)))
-        tasks = []
-        for f in np.flatnonzero(hot.any(axis=1)):
-            hp = live_p[hot[f]]
-            tasks += [(int(f), hp[start:start + chunk])
-                      for start in range(0, hp.size, chunk)]
-        return tasks
+            hot[:, start:start + chunk] = bound > self.adc.max_code
+        hf, hk = np.nonzero(hot)
+        hf, hp = clip_f[hf], live_p[hk]
+        chunk = max(1, FUSED_KERNEL_MAX_ELEMENTS // ((n_bits + m) * width))
+        return [(hf[start:start + chunk], hp[start:start + chunk])
+                for start in range(0, hp.size, chunk)]
 
     def _clip_residue(self, stacked: np.ndarray, bits_or: np.ndarray,
-                      task: Tuple[int, np.ndarray], stats: EngineStats):
-        """``(positions, (K, cols) correction)`` of one fragment's hot pairs.
-
-        Each conversion is the exact integer dot product, one float64 GEMM
-        over the pairs' live bit-planes; only the full-scale rail can clip
-        (bits and codes are non-negative).
-        """
-        f, hp = task
+                      task: Tuple[np.ndarray, np.ndarray],
+                      stats: EngineStats):
+        """``(positions, (H, cols) correction)`` of ``H`` hot pairs: one
+        batched float64 GEMM of every pair's live bit-planes against its
+        fragment's codes gives each conversion's exact integer dot product;
+        only the full-scale rail can clip (bits and codes are >= 0)."""
+        hf, hp = task
         cols = self.mapped.geometry.cols
         ideal = self._ideal_constants()
-        live = int(np.bitwise_or.reduce(bits_or[f, hp]))
+        live = int(np.bitwise_or.reduce(bits_or[hf, hp]))
         lb = np.flatnonzero((live >> np.arange(live.bit_length())) & 1)
-        bits = (stacked[f][:, hp][None, :, :] >> lb[:, None, None]) & 1
-        dots = (bits.transpose(0, 2, 1).reshape(lb.size * hp.size, -1)
-                .astype(np.float64) @ ideal.codes_f[f])     # (B*K, cols*S)
+        bits = (stacked[hf, :, hp][:, None, :] >> lb[None, :, None]) & 1
+        dots = bits.astype(np.float64) @ ideal.codes_f[hf]   # (H, B, W)
         diff = np.minimum(dots, float(self.adc.max_code)) - dots
         stats.saturated += int(np.count_nonzero(diff))
         # The trailing GEMM axis is (cols, planes, slices) — the stacking
         # order of codes_f — and _plane_place carries the plane signs.
-        diff = diff.reshape(lb.size, hp.size, cols, -1)
+        diff = diff.reshape(hp.size, lb.size, cols, -1)
         bit_weight = np.int64(1) << lb
         if ideal.float_exact:
-            corr = np.rint(np.tensordot(bit_weight.astype(np.float64),
-                                        diff @ self._plane_place_f,
-                                        axes=([0], [0]))).astype(np.int64)
+            corr = np.rint(bit_weight.astype(np.float64)     # (H, cols)
+                           @ (diff @ self._plane_place_f)).astype(np.int64)
         else:
-            corr = np.einsum("bkcn,n,b->kc", diff.astype(np.int64),
+            corr = np.einsum("hbcn,n,b->hc", diff.astype(np.int64),
                              self._plane_place.ravel(), bit_weight)
         if self._frag_signs_arr is not None:
-            corr *= self._frag_signs_arr[f]
+            corr *= self._frag_signs_arr[hf]
         return hp, corr
 
     def _matvec_sparse(self, stacked: np.ndarray, pool) -> np.ndarray:

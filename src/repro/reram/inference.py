@@ -61,19 +61,21 @@ def _signed_matvec(engine: InSituLayerEngine, cols: np.ndarray,
     the two sequential passes the pre-fusion engine made.
     """
     qmax = (1 << engine.activation_bits) - 1
-    positive = np.maximum(cols, 0.0)
-    negative = np.maximum(-cols, 0.0)
-    top = float(max(positive.max(initial=0.0), negative.max(initial=0.0)))
+    top = float(max(cols.max(initial=0.0), -cols.min(initial=0.0)))
     scale = top / qmax if top > 0.0 else 1.0
-    pos_int = np.clip(np.rint(positive / scale), 0, qmax).astype(np.int64)
-    if negative.any():
-        neg_int = np.clip(np.rint(negative / scale), 0, qmax).astype(np.int64)
-        both = engine.matvec_int(
-            np.concatenate([pos_int, neg_int], axis=1)).astype(np.float64)
-        split = pos_int.shape[1]
-        out = both[:, :split] - both[:, split:]
-    else:
-        out = engine.matvec_int(pos_int).astype(np.float64)
+    # x / scale is sign-symmetric, so the negative part's codes are the
+    # positive codes of -(x / scale): one division, one rint/clip.  The
+    # block splits exactly when max(-x, 0) has a nonzero entry: NaN fails
+    # ``>= 0``, -0.0 passes it.
+    split = not (cols >= 0).all()
+    q = cols / scale
+    if split:
+        q = np.concatenate([q, -q], axis=1)
+    np.rint(q, out=q)
+    np.clip(q, 0, qmax, out=q)
+    out = engine.matvec_int(q.astype(np.int64)).astype(np.float64)
+    if split:
+        out = out[:, :cols.shape[1]] - out[:, cols.shape[1]:]
     return out * weight_scale * scale
 
 

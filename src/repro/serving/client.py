@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .wire import decode_array_b64, encode_array, iter_sse_events
+from .wire import (decode_array_b64, encode_array, interned_keys,
+                   iter_sse_events)
 
 #: what a failed round trip through :meth:`HttpClient.request` can raise
 #: when the far end dies mid-exchange: connection errors (``OSError``,
@@ -176,7 +177,8 @@ class HttpClient:
                     raise
             response = connection.getresponse()
             raw = response.read()
-            return response.status, json.loads(raw.decode("utf-8"))
+            return response.status, json.loads(
+                raw.decode("utf-8"), object_pairs_hook=interned_keys)
         finally:
             connection.close()
 

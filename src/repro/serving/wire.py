@@ -44,6 +44,7 @@ import base64
 import io
 import json
 import re
+import sys
 import threading
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -192,6 +193,16 @@ def result_body(result, binary: bool) -> Dict:
     return body
 
 
+def interned_keys(pairs: List[Tuple[str, object]]) -> Dict:
+    """``json`` ``object_pairs_hook`` that interns every key.
+
+    A client holding many decoded receipts then shares one copy of each
+    ``stats`` key string across all of them instead of one per receipt;
+    decoded values are unchanged.
+    """
+    return {sys.intern(key): value for key, value in pairs}
+
+
 def iter_sse_events(fp):
     """Parse server-sent events off a file-like of bytes lines.
 
@@ -206,7 +217,8 @@ def iter_sse_events(fp):
         line = raw.decode("utf-8").rstrip("\n").rstrip("\r")
         if not line:
             if event is not None:
-                yield event, json.loads("\n".join(data_lines))
+                yield event, json.loads("\n".join(data_lines),
+                                        object_pairs_hook=interned_keys)
             event, data_lines = None, []
             continue
         field, _, value = line.partition(":")

@@ -238,6 +238,73 @@ class TestSignedMatvec:
         _signed_matvec(engine, cols, weight_scale=1.0)
         assert engine.stats.cycles_fed <= engine.activation_bits
 
+    @staticmethod
+    def _split_quantizer(engine, cols, weight_scale):
+        """The two-array quantizer ``_signed_matvec`` replaced, kept as
+        its oracle: positive and negative parts divided and rounded
+        separately, split whenever ``max(-x, 0)`` has a nonzero."""
+        qmax = (1 << engine.activation_bits) - 1
+        positive = np.maximum(cols, 0.0)
+        negative = np.maximum(-cols, 0.0)
+        top = float(max(positive.max(initial=0.0),
+                        negative.max(initial=0.0)))
+        scale = top / qmax if top > 0.0 else 1.0
+        pos_int = np.clip(np.rint(positive / scale), 0, qmax).astype(np.int64)
+        if negative.any():
+            neg_int = np.clip(np.rint(negative / scale), 0,
+                              qmax).astype(np.int64)
+            both = engine.matvec_int(
+                np.concatenate([pos_int, neg_int], axis=1)).astype(np.float64)
+            out = both[:, :pos_int.shape[1]] - both[:, pos_int.shape[1]:]
+        else:
+            out = engine.matvec_int(pos_int).astype(np.float64)
+        return out * weight_scale * scale
+
+    @pytest.mark.parametrize("kind", ["signed", "nonnegative", "zero",
+                                      "negzero", "float32"])
+    def test_quantizer_matches_split_formula(self, kind):
+        """One division and one in-place rint/clip give the split
+        formula's output and the same schedule (every EngineStats count)."""
+        levels, geom = polarized_case((4, 2, 3, 3), 4, seed=20)
+        rng = np.random.default_rng(21)
+        cols = rng.normal(size=(geom.rows, 7))
+        if kind == "nonnegative":
+            cols = np.abs(cols)
+            cols[rng.random(cols.shape) < 0.4] = 0.0
+        elif kind == "zero":
+            cols = np.zeros_like(cols)
+        elif kind == "negzero":
+            cols = np.abs(cols)
+            cols[rng.random(cols.shape) < 0.3] = -0.0
+        elif kind == "float32":
+            cols = cols.astype(np.float32)
+        engine, oracle = (build_engine(levels, geom, QSPEC, ideal_device(),
+                                       adc=ADCSpec(bits=4),
+                                       activation_bits=10)
+                          for _ in range(2))
+        np.testing.assert_array_equal(
+            _signed_matvec(engine, cols, weight_scale=0.25),
+            self._split_quantizer(oracle, cols, weight_scale=0.25))
+        assert engine.stats.as_dict() == oracle.stats.as_dict()
+
+    def test_tiny_negative_takes_two_pass_schedule(self):
+        """A negative entry that rounds to code 0 still splits the block:
+        the concatenated positions double ``conversions``."""
+        levels, geom = polarized_case((4, 2, 3, 3), 4, seed=22)
+        cols = np.abs(np.random.default_rng(23).normal(size=(geom.rows, 5)))
+        salted = cols.copy()
+        salted[0, 0] = -1e-300
+        single, split = (build_engine(levels, geom, QSPEC, ideal_device(),
+                                      activation_bits=10) for _ in range(2))
+        _signed_matvec(single, cols, weight_scale=1.0)
+        _signed_matvec(split, salted, weight_scale=1.0)
+        assert split.stats.conversions == 2 * single.stats.conversions
+        expected = self._split_quantizer(
+            build_engine(levels, geom, QSPEC, ideal_device(),
+                         activation_bits=10), salted, weight_scale=1.0)
+        np.testing.assert_array_equal(
+            _signed_matvec(single, salted, weight_scale=1.0), expected)
+
 
 class TestSaturationRails:
     def test_negative_rail_counted(self):

@@ -18,6 +18,7 @@ carries every dtype, exotic NaN payload bits included.
 """
 
 import ast
+import io
 import json
 import threading
 import time
@@ -28,7 +29,7 @@ import pytest
 from repro.serving import AsyncFrontend, HttpClient, HttpFrontend, \
     InferenceServer, ModelRegistry
 from repro.serving.wire import (decode_array_b64, decode_array_json,
-                                encode_array)
+                                encode_array, iter_sse_events)
 from repro.nn.tensor import Tensor
 
 #: the pinned fuzz seed: every run fuzzes the same payloads, so a
@@ -103,6 +104,18 @@ class TestCodecRoundTrip:
         −0.0 included (Python's json emits and parses the tokens)."""
         wire = json.loads(json.dumps(array.tolist()))
         assert_byte_exact(decode_array_json(wire), array)
+
+    def test_sse_events_share_key_strings(self):
+        """Decoded events equal plain ``json.loads`` and share one copy
+        of each key across events, so held receipts do not repeat them."""
+        payload = {"stats": {"engine_stats": {"conversions": 3},
+                             "queue_wait_s": 0.5}, "index": 1}
+        frame = f"event: result\ndata: {json.dumps(payload)}\n\n".encode()
+        events = list(iter_sse_events(io.BytesIO(frame * 2)))
+        assert events == [("result", payload)] * 2
+        (_, first), (_, second) = events
+        for a, b in zip(first["stats"], second["stats"]):
+            assert a is b
 
     def test_b64_rejects_garbage(self):
         from repro.serving.wire import WireFormatError
