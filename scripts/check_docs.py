@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs drift gate: the docs must exist, be reachable, and stay complete.
 
-Twelve rules, each failing the check set (exit 1) the way a broken test
+Thirteen rules, each failing the check set (exit 1) the way a broken test
 would:
 
 1. ``README.md`` and ``docs/architecture.md`` exist and mention every
@@ -52,8 +52,15 @@ would:
     ``forms_engine_profile_seconds`` row of ``docs/observability.md``
     equals the names of ``repro.reram.TIERS``, in ladder order — the
     ``tier`` label's documented values cannot trail the dispatch ladder.
+13. Every Sphinx cross-reference to a ``repro.…`` name in ``src/**/*.py``
+    (``:class:``, ``:func:``, ``:meth:``, ``:mod:``, ``:data:``,
+    ``:attr:``, ``:exc:``; a reference broken across lines included) and
+    every backticked dotted ``repro.…`` name in ``README.md`` and
+    ``docs/*.md`` resolves by import plus ``getattr`` (a dataclass field
+    counts) — deleting or renaming a module, class or function without
+    sweeping the prose that names it fails the gate.
 
-Rules 3-8, 10 and 12 introspect the real parser
+Rules 3-8, 10, 12 and 13 introspect the real parser
 (``repro.cli.build_parser``), the real wire contract
 (``repro.serving.wire.ERROR_CODES``), the real
 executor surface (``repro.runtime.BACKENDS``), the real metric
@@ -64,7 +71,9 @@ catalog (``repro.obs.metric_names``), the real event vocabulary
 construction.  Run by ``scripts/checks.sh``.
 """
 
+import dataclasses
 import fnmatch
+import importlib
 import pathlib
 import re
 import subprocess
@@ -268,6 +277,48 @@ def check_tier_names(failures: list) -> int:
     return len(names)
 
 
+#: a Sphinx cross-reference to a repro name, possibly broken across lines
+CODE_NAME = r":(?:class|func|meth|mod|data|attr|exc):`~?(repro\.[\w.\s]+?)`"
+#: a backticked dotted repro name in prose
+PROSE_NAME = r"`(repro(?:\.\w+)+)`"
+
+
+def resolves(name: str) -> bool:
+    """Whether a dotted name imports: its longest importable module
+    prefix, then ``getattr`` down the rest (or a dataclass field)."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if hasattr(obj, attr):
+                obj = getattr(obj, attr)
+            else:
+                return (dataclasses.is_dataclass(obj) and attr in
+                        {f.name for f in dataclasses.fields(obj)})
+        return True
+    return False
+
+
+def check_names(failures: list) -> int:
+    """Rule 13: every repro name in docstrings and docs resolves."""
+    sources = ([(path, CODE_NAME)
+                for path in sorted((REPO_ROOT / "src").rglob("*.py"))]
+               + [(REPO_ROOT / "README.md", PROSE_NAME)]
+               + [(path, PROSE_NAME) for path in docs_files()])
+    count = 0
+    for path, pattern in sources:
+        for token in re.findall(pattern, read_if_exists(path)):
+            count += 1
+            name = re.sub(r"\s+", "", token)
+            if not resolves(name):
+                failures.append(f"{path.relative_to(REPO_ROOT)}: `{name}` "
+                                "names nothing importable")
+    return count
+
+
 def tracked_files() -> list:
     """What git tracks; outside a checkout, what is on disk."""
     try:
@@ -319,6 +370,7 @@ def main() -> int:
     n_references = check_references(failures)
     n_env = check_env_vars(failures)
     n_tiers = check_tier_names(failures)
+    n_names = check_names(failures)
     if failures:
         for failure in failures:
             print(f"ERROR: {failure}", file=sys.stderr)
@@ -331,7 +383,7 @@ def main() -> int:
           f"stream event types, {n_fields} stats fields, {n_env} "
           f"environment variables and {n_tiers} dispatch rungs "
           f"documented; {n_references} script and "
-          "document references resolve")
+          f"document references and {n_names} repro names resolve")
     return 0
 
 

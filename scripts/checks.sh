@@ -20,8 +20,9 @@
 #    catalog, SSE event types, every referenced script resolving to a
 #    tracked file, every `/v1/stats` key and `/v1/usage` cell field of
 #    the ServerStats store documented, the `FORMS_*` environment
-#    variables read in src/ exactly the ones documented, and the engine
-#    profile's documented rung list exactly `repro.reram.TIERS`).
+#    variables read in src/ exactly the ones documented, the engine
+#    profile's documented rung list exactly `repro.reram.TIERS`, and
+#    every `repro.…` name in src/ docstrings and the docs importable).
 # 5. `benchmarks/e2e/run.py --seed 0 --seconds 3` — all six workloads of
 #    the end-to-end benchmark at a quarter length (about a minute).  The
 #    exit code gates bit-identity of every output against the serial

@@ -47,12 +47,11 @@ import numpy as np
 from ..core import FragmentGeometry, QuantizationSpec
 from ..core.polarization import compute_signs, project_polarization
 from ..nn import functional as F
-from ..reram import (ADCSpec, DeviceSpec, DieCache, ReRAMDevice,
-                     build_engine)
+from ..reram import (ADCSpec, DeviceSpec, DieCache, InSituLayerEngine,
+                     ReRAMDevice, build_engine)
 from ..reram.engine import FUSED_KERNEL_MAX_ELEMENTS
 from ..reram.inference import _signed_matvec
 from ..reram.nonideal import CellIV, WireModel
-from ..reram.nonideal_engine import NonidealEngine
 from ..serving.demo import post_relu_network
 from .instrument import EngineMeter, time_callable
 
@@ -178,10 +177,10 @@ def bench_mvm_irdrop(repeats: int = 3) -> Dict:
     from ..reram.mapping import infer_signs, map_layer
     mapped = map_layer(levels, geometry, _QSPEC, scheme="forms",
                        signs=infer_signs(levels, geometry))
-    engine = NonidealEngine(mapped, ReRAMDevice(DeviceSpec(), 0.0),
-                            activation_bits=_ACTIVATION_BITS,
-                            wire=WireModel(r_wire_ohm=5.0),
-                            cell_iv=CellIV(nonlinearity=2.0))
+    engine = InSituLayerEngine(mapped, ReRAMDevice(DeviceSpec(), 0.0),
+                               activation_bits=_ACTIVATION_BITS,
+                               wire=WireModel(r_wire_ohm=5.0),
+                               cell_iv=CellIV(nonlinearity=2.0))
     fused_out = engine.matvec_int(x)
     ref_out = engine.matvec_int_reference(x)
     if not np.array_equal(fused_out, ref_out):
@@ -239,10 +238,10 @@ def bench_mvm_sparse_irdrop(repeats: int = 3) -> Dict:
     from ..reram.mapping import infer_signs, map_layer
     mapped = map_layer(levels, geometry, _QSPEC, scheme="forms",
                        signs=infer_signs(levels, geometry))
-    engine = NonidealEngine(mapped, ReRAMDevice(DeviceSpec(), 0.0),
-                            activation_bits=_ACTIVATION_BITS,
-                            wire=WireModel(r_wire_ohm=5.0),
-                            cell_iv=CellIV(nonlinearity=2.0))
+    engine = InSituLayerEngine(mapped, ReRAMDevice(DeviceSpec(), 0.0),
+                               activation_bits=_ACTIVATION_BITS,
+                               wire=WireModel(r_wire_ohm=5.0),
+                               cell_iv=CellIV(nonlinearity=2.0))
     sparse_out = engine.matvec_int(x)
     if not np.array_equal(sparse_out, engine.matvec_int_dense(x)):
         raise AssertionError("sparse != dense on the IR-drop tier")

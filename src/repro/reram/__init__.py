@@ -26,12 +26,14 @@ from .nonideal import (LINEAR_CELL, CellIV, FaultModel, IRDropPoint,
                        solve_ir_drop)
 from .inference import (InSituConv2d, InSituLinear, build_insitu_network,
                         total_cycles_fed)
-from .nonideal_engine import NonidealEngine, output_error
 from .variation import (VariationResult, apply_variation, clone_model,
                         variation_study)
 from .vteam import (ProgramResult, ProgramScheme, VTEAMCell, VTEAMParams,
                     device_spec_from_vteam, program_codes, program_level,
                     write_latency_s)
+
+#: the engine under its robustness-study name: physics is constructor data
+NonidealEngine = InSituLayerEngine
 
 __all__ = [
     "DeviceSpec", "ReRAMDevice", "codes_to_digital",
@@ -51,7 +53,7 @@ __all__ = [
     "DieFaultDetected", "DieGuard", "FaultEvent", "FaultInjector",
     "InjectedDispatchError", "fragment_sensitivity",
     "rank_engines_by_sensitivity",
-    "NonidealEngine", "output_error",
+    "NonidealEngine",
     "InSituConv2d", "InSituLinear", "build_insitu_network",
     "total_cycles_fed",
 ]

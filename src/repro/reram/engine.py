@@ -18,7 +18,9 @@ With ideal devices and sufficiently wide ADCs the engine reproduces the
 integer matmul **exactly** — the anchor correctness property of the simulator
 (see ``tests/reram/test_engine.py``).  With device variation or undersized
 ADCs, the deviation is the physically meaningful error the paper's Table VI
-and our ADC ablation measure.
+and our ADC ablation measure.  The rest of the non-ideal physics of
+:mod:`repro.reram.nonideal` — stuck-at faults, IR drop with nonlinear cell
+I-V, read noise — is constructor data of the same class, not a subclass.
 
 Simulation strategy
 -------------------
@@ -66,6 +68,8 @@ from .bitslice import slice_weights
 from .converters import ADCSpec, DACSpec, SampleHold, required_adc_bits
 from .device import ReRAMDevice
 from .mapping import MappedLayer, map_layer
+from .nonideal import (CellIV, FaultModel, ReadNoise, WireModel,
+                       first_order_currents)
 
 #: per-kernel-call element budget of the fused bit-plane contraction
 #: (elements of the ``(jobs, positions, cols, slices)`` current tensor).
@@ -379,13 +383,33 @@ class InSituLayerEngine:
     die_cache:
         Optional :class:`DieCache`; identical ``(codes, device)`` pairs then
         reuse one programmed die instead of re-programming per engine.
+    fault_model:
+        Stuck-at faults applied to every code plane at programming time;
+        the realized fraction is kept in ``fault_fraction``.
+    wire, cell_iv:
+        Wire parasitics and cell I-V curve of the per-fragment IR-drop
+        model, given together (each fragment read is one network solve).
+    read_noise:
+        Additive current noise at the sample-and-hold, drawn from keyed
+        substreams so it is identical on every execution path.
     """
 
     def __init__(self, mapped: MappedLayer, device: ReRAMDevice,
                  adc: Optional[ADCSpec] = None, activation_bits: int = 16,
-                 die_cache: Optional[DieCache] = None):
+                 die_cache: Optional[DieCache] = None,
+                 fault_model: Optional[FaultModel] = None,
+                 wire: Optional[WireModel] = None,
+                 cell_iv: Optional[CellIV] = None,
+                 read_noise: Optional[ReadNoise] = None):
         if activation_bits < 1:
             raise ValueError("activation_bits must be >= 1")
+        if (wire is None) != (cell_iv is None):
+            raise ValueError("wire and cell_iv must be supplied together")
+        self.fault_fraction = 0.0
+        if fault_model is not None:
+            mapped, self.fault_fraction = fault_model.apply_to_layer(
+                mapped, device.spec.levels)
+        self.wire, self.cell_iv, self.read_noise = wire, cell_iv, read_noise
         self.mapped = mapped
         self.device = device
         self.activation_bits = activation_bits
@@ -555,17 +579,27 @@ class InSituLayerEngine:
 
         ``conductance``: (jobs, m, cols, slices); ``drive``: (jobs, m,
         positions) word-line levels.  Returns (jobs, positions, cols,
-        slices).  The single override point for physics
-        (:class:`~repro.reram.nonideal_engine.NonidealEngine` adds IR drop
-        and read noise here).  ``noise_keys`` — one row of
-        :func:`_noise_keys` per job — identifies each job for the
-        deterministic row-keyed noise substreams; the ideal read ignores it.
+        slices): the ideal read, or with ``wire`` one IR-drop network solve
+        per job (a fragment's m rows and its column wiring are the
+        electrical extent), batched in one :func:`~repro.reram.nonideal.
+        first_order_currents` call.  With ``read_noise``, ``noise_keys`` —
+        one row of :func:`_noise_keys` per job — picks each job's
+        row-keyed noise substream.
         """
         jobs, m, cols, slices = conductance.shape
-        currents = np.matmul(drive.transpose(0, 2, 1),
-                             conductance.reshape(jobs, m, cols * slices))
-        currents *= self.device.spec.read_voltage
-        return currents.reshape(jobs, -1, cols, slices)
+        flat = conductance.reshape(jobs, m, cols * slices)
+        read_voltage = self.device.spec.read_voltage
+        if self.wire is None:
+            currents = np.matmul(drive.transpose(0, 2, 1), flat)
+            currents *= read_voltage
+            currents = currents.reshape(jobs, -1, cols, slices)
+        else:
+            out = first_order_currents(flat, read_voltage * drive, self.wire,
+                                       cell_iv=self.cell_iv)
+            currents = out.reshape(jobs, cols, slices, -1).transpose(0, 3, 1, 2)
+        if self.read_noise is not None:
+            currents = self.read_noise.apply_jobs(currents, noise_keys)
+        return currents
 
     def _convert_batch(self, held: np.ndarray, active: np.ndarray,
                        stats: EngineStats) -> np.ndarray:
@@ -644,37 +678,15 @@ class InSituLayerEngine:
         return out
 
     # ------------------------------------------------------------------
-    # Kernel configuration hooks
+    # Kernel configuration
     # ------------------------------------------------------------------
-    def _analog_model_active(self) -> bool:
-        """Whether any stochastic/analog effect acts on the signal path."""
-        return False
-
-    def _conversion_noise_active(self) -> bool:
-        """Whether an all-zero drive pattern can still convert to non-zero.
-
-        True only with read noise: the ADC's zero rail rectifies zero-mean
-        noise into a positive pedestal, so even silent fragments contribute.
-        The kernel must then feed the full job grid instead of masking
-        all-zero jobs (deterministic effects — IR drop, variation — map zero
-        drive to zero current exactly, so masking stays lossless for them).
-        """
-        return False
-
-    def _job_memory_factor(self, m: int) -> int:
-        """Per-job memory multiplier of ``_job_currents`` beyond the current
-        tensor itself — used to scale the kernel chunk budget.  The base
-        einsum read allocates nothing extra; the batched IR-drop solver
-        overrides this (several ``m``-row intermediates per job)."""
-        return 1
-
     def _signal_path_ideal(self) -> bool:
         """True when every conversion provably equals the integer dot product
         (a variation-free die, no analog physics): the float signal path
         then round-trips integers far below the ADC's rounding threshold,
         so the ``integer`` rung produces its bits."""
-        return (self.device.variation_sigma == 0.0
-                and not self._analog_model_active())
+        return (self.device.variation_sigma == 0.0 and self.wire is None
+                and self.read_noise is None)
 
     def _input_digest(self, stacked: np.ndarray) -> int:
         """Content hash of one activation block — the per-call component of
@@ -947,7 +959,8 @@ class InSituLayerEngine:
         # Tasks are independent — they touch disjoint (fragment, position)
         # conversions — so they can fan out across workers; accumulation
         # happens at join.
-        mem_factor = self._job_memory_factor(m)
+        # IR drop holds two (positions, m, cols*slices) temporaries per job
+        mem_factor = 2 * m + 1 if self.wire is not None else 1
         tasks: List[Tuple[int, np.ndarray, np.ndarray]] = []
         for f in range(n_frag):
             lp = np.nonzero(bits_or[f])[0]
@@ -1039,9 +1052,9 @@ class InSituLayerEngine:
         # least one live bit.  The hardware still clocks every cycle up to
         # the top live bit, so cycle/conversion accounting stays on the
         # hardware's terms (identical to the per-bit reference loop).  With
-        # conversion noise the mask must stay full: silent fragments still
+        # read noise the mask must stay full: silent fragments still
         # convert, and the ADC rectifies their noise into a real pedestal.
-        noisy = self._conversion_noise_active()
+        noisy = self.read_noise is not None
         if noisy:
             live = np.ones((n_bits, n_frag), dtype=bool)
         else:
@@ -1066,7 +1079,7 @@ class InSituLayerEngine:
         frag_signs = self._frag_signs_arr
 
         per_job = max(1, positions * cols * slices * n_planes
-                      * self._job_memory_factor(m))
+                      * (2 * m + 1 if self.wire is not None else 1))
         chunk = max(1, FUSED_KERNEL_MAX_ELEMENTS // per_job)
         if noisy and chunk > n_frag:
             # Whole bit-plane rows per chunk: a noise row substream is then
@@ -1139,7 +1152,7 @@ class InSituLayerEngine:
         geometry = self.mapped.geometry
         local = EngineStats()
         digest = (self._input_digest(stacked)
-                  if self._conversion_noise_active() else None)
+                  if self.read_noise is not None else None)
 
         out = np.zeros((geometry.cols, positions), dtype=np.int64)
         for bit in range(self.activation_bits):
@@ -1194,7 +1207,7 @@ def build_engine(levels_matrix: np.ndarray, geometry: FragmentGeometry,
 TIERS = (
     # read noise converts even silent fragments (the ADC rectifies it into
     # a pedestal): the full dense grid, with keyed noise substreams
-    ("dense_noise", lambda engine: engine._conversion_noise_active(),
+    ("dense_noise", lambda engine: engine.read_noise is not None,
      InSituLayerEngine._matvec_dense),
     # variation or deterministic analog physics: the float signal path
     # over the live grid (zero drive maps to code 0 exactly)

@@ -20,8 +20,9 @@ finishes that pass in a single detection cycle.
 
 With ideal devices and exact ADC sizing, in-situ accuracy equals the
 quantized digital model's accuracy up to the activation-quantization error
-(tested); the engine class can be swapped for :class:`NonidealEngine` to
-run whole-network inference under faults, IR drop and read noise.
+(tested); the engine's physics keywords (faults, IR drop, read noise) run
+whole-network inference under the non-idealities of
+:mod:`repro.reram.nonideal`.
 """
 
 from __future__ import annotations
@@ -158,9 +159,10 @@ def build_insitu_network(model: Module, config: FORMSConfig,
 
     Returns ``(insitu_model, engines)``; the engines dict exposes per-layer
     :class:`~repro.reram.engine.EngineStats` (conversions, saturation,
-    cycles fed) after inference runs.  ``engine_cls`` and ``engine_kwargs``
-    select the physics (:class:`~repro.reram.nonideal_engine.NonidealEngine`
-    for faults / IR drop / read noise).  Pass a shared
+    cycles fed) after inference runs.  ``engine_kwargs`` select the
+    physics — ``fault_model``, ``wire`` + ``cell_iv``, ``read_noise`` of
+    :class:`~repro.reram.engine.InSituLayerEngine`; ``engine_cls``
+    constructs the engines with the same signature.  Pass a shared
     :class:`~repro.reram.engine.DieCache` when rebuilding the network across
     sweep points so identical ``(codes, device)`` pairs reuse one programmed
     die instead of re-programming per engine.
@@ -184,10 +186,9 @@ def build_insitu_network(model: Module, config: FORMSConfig,
         levels = geometry.matrix(art.int_weights)
         signs = art.signs if scheme == "forms" else None
         mapped = map_layer(levels, geometry, spec, scheme=scheme, signs=signs)
-        if die_cache is not None:  # keep custom engine_cls signatures working
-            engine_kwargs = dict(engine_kwargs, die_cache=die_cache)
         engine = engine_cls(mapped, device, adc=adc,
-                            activation_bits=activation_bits, **engine_kwargs)
+                            activation_bits=activation_bits,
+                            die_cache=die_cache, **engine_kwargs)
         if isinstance(layer, Conv2d):
             wrapper: Module = InSituConv2d(layer, engine, geometry, art.scale)
         elif isinstance(layer, Linear):

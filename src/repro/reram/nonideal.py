@@ -34,12 +34,14 @@ function of rows active per conversion (``python -m repro irdrop``).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
+
+from .mapping import MappedLayer
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +491,20 @@ class FaultModel:
         out[mask == FAULT_SA1] = levels - 1
         return out
 
+    def apply_to_layer(self, mapped: MappedLayer,
+                       levels: int) -> Tuple[MappedLayer, float]:
+        """Program ``mapped`` through this injector: every code plane gets
+        a fresh fault mask.  Returns the faulted layer and the realized
+        fraction of faulty cells."""
+        planes, total, faulted = {}, 0, 0
+        for plane, codes in mapped.code_planes.items():
+            mask = self.sample(codes.shape)
+            planes[plane] = self.apply_to_codes(codes, mask, levels)
+            total += mask.size
+            faulted += int(np.count_nonzero(mask))
+        return (replace(mapped, code_planes=planes),
+                faulted / total if total else 0.0)
+
 
 # ---------------------------------------------------------------------------
 # Read noise
@@ -502,25 +518,21 @@ class ReadNoise:
     (``m`` cells at ``g_max`` driven at the read voltage), matching how ADC
     input-referred noise is specified [32].
 
-    Two draw disciplines coexist:
-
-    * :meth:`apply` consumes a sequential stream — the draw depends on call
-      history (a fresh physical read every time);
-    * :meth:`apply_jobs` keys one *substream* per conversion-grid row —
-      (activation-block content hash, plane, bit-plane) — and takes
-      fragment ``f``'s noise as block ``f`` of that row's stream (the noisy
-      dense grid always schedules every fragment of a row), so an MVM
-      constructs at most ``planes x bits`` generators.  The draw is a pure
-      function of (noise seed, input, job), independent of chunk packing,
-      evaluation order and worker count — the property that makes noisy
-      engine results bit-identical across the fused kernel, the reference
-      loop and any ``repro.runtime`` worker configuration.  The trade-off
-      is that re-running the *same* input block repeats the same noise;
-      treat the seed as selecting one noise realization per distinct input.
+    :meth:`apply_jobs` keys one *substream* per conversion-grid row —
+    (activation-block content hash, plane, bit-plane) — and takes fragment
+    ``f``'s noise as block ``f`` of that row's stream (the noisy dense grid
+    always schedules every fragment of a row), so an MVM constructs at most
+    ``planes x bits`` generators.  The draw is a pure function of (noise
+    seed, input, job), independent of chunk packing, evaluation order and
+    worker count — the property that makes noisy engine results
+    bit-identical across the fused kernel, the reference loop and any
+    ``repro.runtime`` worker configuration.  The trade-off is that
+    re-running the *same* input block repeats the same noise; treat the
+    seed as selecting one noise realization per distinct input.
 
     An unseeded model draws a fresh base seed at construction, so
     substreams stay deterministic *within* one instance but differ across
-    instances — matching the unseeded contract of the sequential stream.
+    instances.
     """
 
     relative_sigma: float = 0.005
@@ -532,7 +544,6 @@ class ReadNoise:
             raise ValueError("relative_sigma must be non-negative")
         if self.full_scale_a <= 0:
             raise ValueError("full_scale_a must be positive")
-        self._rng = np.random.default_rng(self.seed)
         if self.seed is not None:
             self._base_seed = int(self.seed)
         else:
@@ -545,13 +556,6 @@ class ReadNoise:
         return cls(relative_sigma=relative_sigma,
                    full_scale_a=fragment_size * g_max * read_voltage,
                    seed=seed)
-
-    def apply(self, currents: np.ndarray) -> np.ndarray:
-        if self.relative_sigma == 0.0:
-            return np.asarray(currents, dtype=np.float64)
-        sigma = self.relative_sigma * self.full_scale_a
-        noise = self._rng.normal(0.0, sigma, size=np.shape(currents))
-        return np.asarray(currents, dtype=np.float64) + noise
 
     def substream(self, key) -> np.random.Generator:
         """Deterministic generator for one row key (non-negative ints)."""

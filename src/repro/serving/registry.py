@@ -75,7 +75,7 @@ class ModelRegistry:
     # ------------------------------------------------------------------
     def register(self, name: str, model, config, device, *,
                  scheme: str = "forms", adc=None, activation_bits: int = 16,
-                 engine_cls=None, image_shape: Optional[Tuple[int, ...]] = None,
+                 image_shape: Optional[Tuple[int, ...]] = None,
                  **engine_kwargs) -> RegisteredModel:
         """Lower ``model`` through ``build_insitu_network`` and register it.
 
@@ -85,15 +85,12 @@ class ModelRegistry:
         dedup visible.
         """
         from ..reram.inference import build_insitu_network
-        build_kwargs = dict(scheme=scheme, adc=adc,
-                            activation_bits=activation_bits,
-                            die_cache=self.die_cache, **engine_kwargs)
-        if engine_cls is not None:
-            build_kwargs["engine_cls"] = engine_cls
         self._reserve(name)
         try:
-            network, engines = build_insitu_network(model, config, device,
-                                                    **build_kwargs)
+            network, engines = build_insitu_network(
+                model, config, device, scheme=scheme, adc=adc,
+                activation_bits=activation_bits, die_cache=self.die_cache,
+                **engine_kwargs)
         except BaseException:
             with self._lock:
                 self._reserved.discard(name)

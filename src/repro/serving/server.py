@@ -260,7 +260,7 @@ class InferenceServer:
     # ------------------------------------------------------------------
     @classmethod
     def from_model(cls, model, config, device, *, adc=None,
-                   activation_bits: int = 16, engine_cls=None,
+                   activation_bits: int = 16,
                    die_cache: Optional[DieCache] = None,
                    policy: Optional[SlaPolicy] = None,
                    admission: Optional[AdmissionController] = None,
@@ -289,7 +289,7 @@ class InferenceServer:
         try:
             registry.register(DEFAULT_MODEL, model, config, device, adc=adc,
                               activation_bits=activation_bits,
-                              engine_cls=engine_cls, **engine_kwargs)
+                              **engine_kwargs)
             server = cls(registry=registry, policy=policy,
                          admission=admission, max_batch=max_batch,
                          max_wait_s=max_wait_s, detect_faults=detect_faults,

@@ -24,7 +24,7 @@ from repro.serving.demo import post_relu_network as _post_relu_network
 from repro.reram import (ADCSpec, DeviceSpec, DieCache, ReRAMDevice,
                          paper_adc_bits)
 from repro.reram.nonideal import ReadNoise
-from repro.reram.nonideal_engine import NonidealEngine
+from repro.reram import NonidealEngine
 from repro.runtime import (WorkerPool, run_network_serial,
                            shared_memory_available)
 from repro.serving import InferenceServer

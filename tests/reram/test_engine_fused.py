@@ -14,6 +14,7 @@ negative-rail saturation accounting that rode along in the same change.
 import numpy as np
 import pytest
 
+import repro.reram
 import repro.reram.engine as engine_mod
 from repro.core import FragmentGeometry, QuantizationSpec
 from repro.core.polarization import compute_signs, project_polarization
@@ -21,8 +22,7 @@ from repro.reram import (TIERS, ADCSpec, DeviceSpec, DieCache,
                          InSituLayerEngine, ReRAMDevice, build_engine)
 from repro.reram.inference import _signed_matvec
 from repro.reram.mapping import infer_signs, map_layer
-from repro.reram.nonideal import CellIV, ReadNoise, WireModel
-from repro.reram.nonideal_engine import NonidealEngine
+from repro.reram.nonideal import CellIV, FaultModel, ReadNoise, WireModel
 
 SCHEMES = ("forms", "isaac_offset", "dual")
 QSPEC = QuantizationSpec(8, 2)
@@ -47,22 +47,37 @@ def noise_engine(mapped):
     spec = DeviceSpec()
     noise = ReadNoise.for_fragment(4, spec.g_max, spec.read_voltage,
                                    relative_sigma=0.2, seed=3)
-    return NonidealEngine(mapped, ideal_device(), activation_bits=10,
-                          read_noise=noise)
+    return InSituLayerEngine(mapped, ideal_device(), activation_bits=10,
+                             read_noise=noise)
+
+
+def faulty_engine(mapped):
+    engine = InSituLayerEngine(mapped, ideal_device(), activation_bits=10,
+                               fault_model=FaultModel(0.05, 0.01, seed=32))
+    assert engine.fault_fraction > 0
+    return engine
 
 
 #: engines per rung of the dispatch ladder, built from a mapped layer; the
-#: ``integer`` rung runs under a wide ADC (nothing can clip, no pair is
-#: bounded) and a clipping one (the residue path corrects clipped pairs)
+#: ``analog`` rung runs on a variation die and under IR drop, the
+#: ``integer`` rung under a wide ADC (nothing can clip, no pair is
+#: bounded), a clipping one (the residue path corrects clipped pairs) and
+#: stuck-at faults (programmed into the codes, so still an ideal read)
 RUNG_CASES = {
     "dense_noise": (noise_engine,),
-    "analog": (lambda mapped: InSituLayerEngine(
-        mapped, ReRAMDevice(DeviceSpec(), 0.1, seed=5), activation_bits=10),),
+    "analog": (
+        lambda mapped: InSituLayerEngine(
+            mapped, ReRAMDevice(DeviceSpec(), 0.1, seed=5),
+            activation_bits=10),
+        lambda mapped: InSituLayerEngine(
+            mapped, ideal_device(), activation_bits=10,
+            wire=WireModel(5.0), cell_iv=CellIV(2.0))),
     "integer": (
         lambda mapped: InSituLayerEngine(
             mapped, ideal_device(), activation_bits=10),
         lambda mapped: InSituLayerEngine(
-            mapped, ideal_device(), adc=ADCSpec(bits=3), activation_bits=10)),
+            mapped, ideal_device(), adc=ADCSpec(bits=3), activation_bits=10),
+        faulty_engine),
 }
 
 
@@ -90,6 +105,10 @@ class TestDispatchLadder:
             np.testing.assert_array_equal(out, ref.matvec_int_reference(x))
             assert fused.stats.as_dict() == ref.stats.as_dict()
             np.testing.assert_array_equal(dense.matvec_int_dense(x), out)
+
+    def test_nonideal_engine_is_the_engine(self):
+        """Physics is constructor data: the robustness name is an alias."""
+        assert repro.reram.NonidealEngine is InSituLayerEngine
 
 
 class TestFusedEqualsReference:
@@ -175,9 +194,9 @@ class TestFusedEqualsReference:
         x = rng.integers(0, 2 ** 8, size=(geom.rows, 6))
         mapped = map_layer(levels, geom, QSPEC, scheme="forms",
                            signs=infer_signs(levels, geom))
-        engine = NonidealEngine(mapped, ideal_device(), activation_bits=8,
-                                wire=WireModel(r_wire_ohm=10.0),
-                                cell_iv=CellIV(nonlinearity=2.5))
+        engine = InSituLayerEngine(mapped, ideal_device(), activation_bits=8,
+                                   wire=WireModel(r_wire_ohm=10.0),
+                                   cell_iv=CellIV(nonlinearity=2.5))
         np.testing.assert_array_equal(engine.matvec_int(x),
                                       engine.matvec_int_reference(x))
 
@@ -315,8 +334,8 @@ class TestSaturationRails:
         spec = DeviceSpec()
         noise = ReadNoise.for_fragment(4, spec.g_max, spec.read_voltage,
                                        relative_sigma=0.5, seed=19)
-        engine = NonidealEngine(mapped, ReRAMDevice(spec, 0.0),
-                                activation_bits=8, read_noise=noise)
+        engine = InSituLayerEngine(mapped, ReRAMDevice(spec, 0.0),
+                                   activation_bits=8, read_noise=noise)
         x = np.ones((geom.rows, 8), dtype=np.int64)  # tiny sums near code 0
         engine.matvec_int(x)
         assert engine.stats.saturated > 0
@@ -334,8 +353,8 @@ class TestSaturationRails:
         def noisy_engine(seed):
             noise = ReadNoise.for_fragment(4, spec.g_max, spec.read_voltage,
                                            relative_sigma=0.3, seed=seed)
-            return NonidealEngine(mapped, ReRAMDevice(spec, 0.0),
-                                  activation_bits=8, read_noise=noise)
+            return InSituLayerEngine(mapped, ReRAMDevice(spec, 0.0),
+                                     activation_bits=8, read_noise=noise)
 
         x = np.zeros((geom.rows, 200), dtype=np.int64)
         x[0, :] = 255   # one live fragment, many silent ones

@@ -20,7 +20,7 @@ from repro.perf.suite import make_post_relu_inputs
 from repro.reram import ADCSpec, DeviceSpec, ReRAMDevice, build_engine
 from repro.reram.mapping import infer_signs, map_layer
 from repro.reram.nonideal import CellIV, ReadNoise, WireModel
-from repro.reram.nonideal_engine import NonidealEngine
+from repro.reram import NonidealEngine
 from repro.runtime import WorkerPool
 
 SCHEMES = ("forms", "isaac_offset", "dual")

@@ -262,11 +262,12 @@ class TestReadNoise:
     def test_zero_sigma_is_identity(self):
         noise = ReadNoise(relative_sigma=0.0, full_scale_a=1e-4)
         currents = np.array([1e-5, 2e-5])
-        np.testing.assert_array_equal(noise.apply(currents), currents)
+        np.testing.assert_array_equal(
+            noise.apply_jobs(currents[None], np.zeros((1, 2)))[0], currents)
 
     def test_noise_statistics(self):
         noise = ReadNoise(relative_sigma=0.01, full_scale_a=1e-4, seed=0)
-        out = noise.apply(np.zeros(200000))
+        out = noise.apply_jobs(np.zeros((1, 200000)), np.zeros((1, 2)))[0]
         assert out.std() == pytest.approx(1e-6, rel=0.02)
         assert out.mean() == pytest.approx(0.0, abs=1e-8)
 

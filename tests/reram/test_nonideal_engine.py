@@ -5,10 +5,17 @@ import pytest
 
 from repro.core.fragments import FragmentGeometry
 from repro.core.quantization import QuantizationSpec
-from repro.reram import DeviceSpec, ReRAMDevice
+from repro.reram import DeviceSpec, NonidealEngine, ReRAMDevice
 from repro.reram.mapping import infer_signs, map_layer
 from repro.reram.nonideal import CellIV, FaultModel, ReadNoise, WireModel
-from repro.reram.nonideal_engine import NonidealEngine, output_error
+
+
+def output_error(engine, reference, x_int) -> float:
+    """Relative L1 error of ``engine`` against a reference engine's output."""
+    noisy = engine.matvec_int(x_int).astype(np.float64)
+    exact = reference.matvec_int(x_int).astype(np.float64)
+    denom = np.abs(exact).sum()
+    return float(np.abs(noisy - exact).sum() / denom) if denom else 0.0
 
 
 @pytest.fixture(scope="module")

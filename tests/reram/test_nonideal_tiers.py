@@ -28,7 +28,7 @@ from repro.reram.inference import build_insitu_network
 from repro.reram.mapping import infer_signs, map_layer
 from repro.reram.nonideal import (CellIV, ReadNoise, WireModel,
                                   first_order_currents)
-from repro.reram.nonideal_engine import NonidealEngine
+from repro.reram import NonidealEngine
 from repro.runtime import WorkerPool, run_network_serial
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]

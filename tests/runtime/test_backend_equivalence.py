@@ -29,7 +29,7 @@ from repro.reram import (ADCSpec, DeviceSpec, DieCache, ReRAMDevice,
                          paper_adc_bits)
 from repro.reram.inference import build_insitu_network
 from repro.reram.nonideal import ReadNoise
-from repro.reram.nonideal_engine import NonidealEngine
+from repro.reram import NonidealEngine
 from repro.runtime import (WorkerPool, infer_tiles, iter_tiles,
                            shared_memory_available)
 

@@ -13,7 +13,7 @@ from repro.serving.demo import post_relu_network as _post_relu_network
 from repro.reram import ADCSpec, DeviceSpec, ReRAMDevice, paper_adc_bits
 from repro.reram.inference import build_insitu_network
 from repro.reram.nonideal import ReadNoise
-from repro.reram.nonideal_engine import NonidealEngine
+from repro.reram import NonidealEngine
 from repro.runtime import (WorkerPool, attach_pool, detach_pool,
                            evaluate_tiled, infer_tiled, infer_tiles,
                            iter_tiles, run_network_serial)

@@ -17,7 +17,7 @@ import pytest
 from repro.nn.tensor import Tensor
 from repro.reram import ADCSpec, DeviceSpec, ReRAMDevice, paper_adc_bits
 from repro.reram.nonideal import ReadNoise
-from repro.reram.nonideal_engine import NonidealEngine
+from repro.reram import NonidealEngine
 from repro.runtime import run_network_serial
 from repro.runtime.shared import shared_memory_available
 from repro.serving import (SHED_ADMISSION, SHED_DEADLINE,

@@ -15,7 +15,7 @@ import pytest
 from repro.serving.demo import post_relu_network as _post_relu_network
 from repro.reram import ADCSpec, DeviceSpec, ReRAMDevice, paper_adc_bits
 from repro.reram.nonideal import ReadNoise
-from repro.reram.nonideal_engine import NonidealEngine
+from repro.reram import NonidealEngine
 from repro.runtime import run_network_serial
 from repro.serving import InferenceServer
 
