@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs drift gate: the docs must exist, be reachable, and stay complete.
 
-Thirteen rules, each failing the check set (exit 1) the way a broken test
+Fourteen rules, each failing the check set (exit 1) the way a broken test
 would:
 
 1. ``README.md`` and ``docs/architecture.md`` exist and mention every
@@ -59,8 +59,15 @@ would:
     ``docs/*.md`` resolves by import plus ``getattr`` (a dataclass field
     counts) — deleting or renaming a module, class or function without
     sweeping the prose that names it fails the gate.
+14. Every bare ``:data:`NAME``` reference in ``src/**/*.py`` resolves by
+    ``getattr`` on the module that contains it, and every backticked
+    ``UPPER_SNAKE`` name in ``README.md``, ``docs/*.md`` and
+    ``.claude/skills/verify/SKILL.md`` is a module-level name of some
+    module under ``src/repro`` (``FORMS_*`` variables excepted: rule 11
+    owns them) — deleting a module constant without sweeping the
+    docstrings and notes that name it fails the gate.
 
-Rules 3-8, 10, 12 and 13 introspect the real parser
+Rules 3-8, 10, 12, 13 and 14 introspect the real parser
 (``repro.cli.build_parser``), the real wire contract
 (``repro.serving.wire.ERROR_CODES``), the real
 executor surface (``repro.runtime.BACKENDS``), the real metric
@@ -71,6 +78,7 @@ catalog (``repro.obs.metric_names``), the real event vocabulary
 construction.  Run by ``scripts/checks.sh``.
 """
 
+import ast
 import dataclasses
 import fnmatch
 import importlib
@@ -319,6 +327,60 @@ def check_names(failures: list) -> int:
     return count
 
 
+#: a bare (undotted) data reference in a docstring
+BARE_DATA = r":data:`~?(\w+)`"
+#: a backticked UPPER_SNAKE name in prose
+CONSTANT_NAME = r"`([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)`"
+#: the build-and-run notes, which name kernel constants too
+VERIFY_NOTES = REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+
+
+def module_of(path: pathlib.Path) -> str:
+    parts = path.relative_to(REPO_ROOT / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def module_level_names() -> set:
+    """Every name assigned at module level anywhere under src/repro."""
+    names = set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.parse(read_if_exists(path)).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            names.update(leaf.id for target in targets
+                         for leaf in ast.walk(target)
+                         if isinstance(leaf, ast.Name))
+    return names
+
+
+def check_constants(failures: list):
+    """Rule 14: bare :data: references and documented constants exist."""
+    n_code = 0
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        tokens = re.findall(BARE_DATA, read_if_exists(path))
+        if not tokens:
+            continue
+        module = importlib.import_module(module_of(path))
+        for name in tokens:
+            n_code += 1
+            if not hasattr(module, name):
+                failures.append(f"{path.relative_to(REPO_ROOT)}: "
+                                f"`:data:{name}` is not a name of "
+                                f"{module.__name__}")
+    defined = module_level_names()
+    n_prose = 0
+    for page in [REPO_ROOT / "README.md", *docs_files(), VERIFY_NOTES]:
+        for name in re.findall(CONSTANT_NAME, read_if_exists(page)):
+            if name.startswith("FORMS_"):
+                continue
+            n_prose += 1
+            if name not in defined:
+                failures.append(f"{page.relative_to(REPO_ROOT)}: `{name}` "
+                                "is no module-level name under src/repro")
+    return n_code, n_prose
+
+
 def tracked_files() -> list:
     """What git tracks; outside a checkout, what is on disk."""
     try:
@@ -371,6 +433,7 @@ def main() -> int:
     n_env = check_env_vars(failures)
     n_tiers = check_tier_names(failures)
     n_names = check_names(failures)
+    n_data, n_constants = check_constants(failures)
     if failures:
         for failure in failures:
             print(f"ERROR: {failure}", file=sys.stderr)
@@ -383,7 +446,8 @@ def main() -> int:
           f"stream event types, {n_fields} stats fields, {n_env} "
           f"environment variables and {n_tiers} dispatch rungs "
           f"documented; {n_references} script and "
-          f"document references and {n_names} repro names resolve")
+          f"document references, {n_names} repro names and "
+          f"{n_data} + {n_constants} constant names resolve")
     return 0
 
 

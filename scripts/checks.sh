@@ -15,14 +15,16 @@
 # 3. The same with `--backend process`: the multi-worker benches fan
 #    tiles out to spawned worker processes over shared-memory planes, so
 #    spawn, ship, merge and unlink get an end-to-end smoke.
-# 4. `check_docs.py` — the docs drift gate (packages, linked pages, CLI
+# 4. `check_docs.py` — the docs drift gate, fourteen rules (packages, linked pages, CLI
 #    subcommands and serve flags, wire error codes, backends, metric
 #    catalog, SSE event types, every referenced script resolving to a
 #    tracked file, every `/v1/stats` key and `/v1/usage` cell field of
 #    the ServerStats store documented, the `FORMS_*` environment
 #    variables read in src/ exactly the ones documented, the engine
-#    profile's documented rung list exactly `repro.reram.TIERS`, and
-#    every `repro.…` name in src/ docstrings and the docs importable).
+#    profile's documented rung list exactly `repro.reram.TIERS`,
+#    every `repro.…` name in src/ docstrings and the docs importable,
+#    and every bare `:data:` name in src/ and backticked UPPER_SNAKE
+#    constant in the docs and verify notes defined).
 # 5. `benchmarks/e2e/run.py --seed 0 --seconds 3` — all six workloads of
 #    the end-to-end benchmark at a quarter length (about a minute).  The
 #    exit code gates bit-identity of every output against the serial

@@ -20,7 +20,9 @@ The simulation stack splits scheduling from execution:
   structure* of each activation block (per-fragment ``live bits x live
   positions`` grids; the per-fragment OR of the activation bits is the
   complete structure).  All-zero bit-planes, silent fragments and silent
-  positions are never materialized; on the ``integer`` rung the block
+  positions are never materialized; on the ``analog`` rung each distinct
+  (fragment, drive pattern) read runs the signal path once per MVM, and
+  on the ``integer`` rung the block
   telescopes into one value-level GEMM and only the (fragment, position)
   pairs whose clip bound exceeds the ADC are expanded.  The dense
   bit-plane kernel

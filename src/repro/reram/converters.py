@@ -17,7 +17,7 @@ simulator; an undersized ADC clips, which is measurable as accuracy loss
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -72,19 +72,26 @@ class ADCSpec:
         """Round to the nearest code, saturating at the rails."""
         return np.clip(np.rint(np.asarray(analog)), 0, self.max_code).astype(np.int64)
 
-    def digitize(self, analog: np.ndarray) -> "Tuple[np.ndarray, int]":
+    def digitize(self, analog: np.ndarray, weights: Optional[np.ndarray] = None
+                 ) -> "Tuple[np.ndarray, int]":
         """Convert plus rail accounting in one rounding pass.
 
         Returns ``(digital, saturated)`` where ``saturated`` counts samples
         clipped at either rail (overflow past full scale or underflow below
         zero).  Semantically ``convert`` + both-rail counting, but the
         engines call this on every kernel batch, so the rounded tensor is
-        computed once and clipped in place.
+        computed once and clipped in place.  ``weights`` (one integer per
+        index of the leading axis) counts each sample of row ``j`` that
+        many times.
         """
         rounded = np.array(analog, dtype=np.float64)
         np.rint(rounded, out=rounded)
         in_range = (rounded >= 0) & (rounded <= self.max_code)
         saturated = rounded.size - int(np.count_nonzero(in_range))
+        if saturated and weights is not None:
+            clipped = in_range.size // len(weights) - np.count_nonzero(
+                in_range.reshape(len(weights), -1), axis=1)
+            saturated = int(clipped @ weights)
         np.clip(rounded, 0, self.max_code, out=rounded)
         return rounded.astype(np.int64), saturated
 

@@ -38,10 +38,11 @@ dispatch_tier`.  On an ideal die (``integer``) the pipeline telescopes into
 one value-level matmul wherever a per-(fragment, position) bound proves no
 conversion can clip — the paper's "typical partial sums do not saturate
 the ADC" — and only the remaining pairs are expanded bit by bit, clipped
-and applied as a correction.  The ``analog`` rung runs each fragment's
-``live bits x live positions`` grid through the float signal path in one
-fused contraction; independent chunks can fan out across a
-:class:`repro.runtime.WorkerPool`.
+and applied as a correction.  The ``analog`` rung runs the float signal
+path once per distinct (fragment, drive pattern) read of the block — a
+1-bit DAC makes every read a pure function of that pair — and shift-adds
+the results back; independent chunks of distinct reads can fan out
+across a :class:`repro.runtime.WorkerPool`.
 
 The dense decomposition — the whole block expanded into a ``(bits, n_frag,
 m, positions)`` bit-plane tensor with (bit-plane, fragment) masking only —
@@ -61,6 +62,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from ..core.fragments import FragmentGeometry
 from ..core.quantization import QuantizationSpec
@@ -78,15 +80,6 @@ from .nonideal import (CellIV, FaultModel, ReadNoise, WireModel,
 #: 2**18 elements (2 MiB of float64) measures fastest on the elementwise-
 #: bound analog path.  Changing it never changes any result.
 FUSED_KERNEL_MAX_ELEMENTS = 1 << 18
-
-#: minimum average per-fragment grid size (elements of the conversion
-#: tensor) for the CSR scheduler to win over the dense masked kernel: below
-#: this, per-task Python overhead outweighs the skipped conversions (a
-#: many-fragment, few-position layer — e.g. a classifier head on a small
-#: batch — is the canonical case) and the ``analog`` rung runs the dense
-#: executor instead.  Pure executor choice: results are bit-identical
-#: either way.
-SPARSE_MIN_TASK_ELEMENTS = 1 << 12
 
 
 class SignIndicator:
@@ -602,7 +595,8 @@ class InSituLayerEngine:
         return currents
 
     def _convert_batch(self, held: np.ndarray, active: np.ndarray,
-                       stats: EngineStats) -> np.ndarray:
+                       stats: EngineStats,
+                       reads: Optional[np.ndarray] = None) -> np.ndarray:
         """Pedestal-correct and ADC-convert one current batch.
 
         ``held``: (jobs, positions, cols, slices) sampled currents;
@@ -612,12 +606,15 @@ class InSituLayerEngine:
         underflow below zero (reachable with read noise / IR drop).
         Accounting lands in ``stats`` (a per-call or per-worker local).
         ``held`` is consumed: the caller hands over a freshly computed
-        tensor and the pedestal correction runs in place.
+        tensor and the pedestal correction runs in place.  ``reads`` (one
+        integer per job) books each job as that many identical hardware
+        reads.
         """
         held -= self._v_g_min * active[:, :, None, None]
         held *= self._inv_v_g_step
-        digital, saturated = self.adc.digitize(held)
-        stats.conversions += digital.size
+        digital, saturated = self.adc.digitize(held, weights=reads)
+        stats.conversions += (digital.size if reads is None else
+                              int(reads.sum()) * (digital.size // reads.size))
         stats.saturated += saturated
         return digital
 
@@ -770,9 +767,8 @@ class InSituLayerEngine:
     def dispatch_tier(self) -> str:
         """The first :data:`TIERS` rung whose predicate holds right now.
 
-        The one place a rung is chosen.  Inside the ``analog`` rung, blocks
-        whose per-fragment grids are too small to amortize a task still run
-        the dense executor (:data:`SPARSE_MIN_TASK_ELEMENTS`).
+        The one place a rung is chosen; each rung has exactly one
+        executor, whatever the block's shape.
         """
         return next(name for name, applies, _ in TIERS if applies(self))
 
@@ -797,11 +793,9 @@ class InSituLayerEngine:
         The OR over each fragment's rows is the complete nonzero structure
         — bit ``b`` of ``bits_or[f, p]`` says whether the (b, f) job has
         any live drive at position p — so no dense (bits, n_frag, m,
-        positions) tensor is ever built.  Returns ``(bits_or, job_live,
-        scheduled, local)``: ``job_live`` is (bits, n_frag), ``scheduled``
-        the (bit, fragment, position) pairs of the per-fragment ``live
-        bits x live positions`` grids, ``local`` the call's stats with
-        cycles, jobs and pairs booked.
+        positions) tensor is ever built.  Returns ``(bits_or, local)``:
+        ``local`` is the call's stats with cycles, jobs and the pairs of
+        the per-fragment ``live bits x live positions`` grids booked.
         """
         n_planes = len(self._plane_terms)
         bits_or = np.bitwise_or.reduce(stacked, axis=1)    # (n_frag, positions)
@@ -818,7 +812,7 @@ class InSituLayerEngine:
         local.pairs_scheduled += scheduled * n_planes
         local.pairs_skipped += (job_live.size * stacked.shape[-1]
                                 - scheduled) * n_planes
-        return bits_or, job_live, scheduled, local
+        return bits_or, local
 
     def _telescoped(self, stacked: np.ndarray) -> np.ndarray:
         """``(cols, positions)`` of a block as if no conversion clipped.
@@ -855,9 +849,9 @@ class InSituLayerEngine:
         n_bits = int(stacked.max(initial=0)).bit_length()
         if n_bits == 0:
             return self._offset_correction(stacked, out)
-        bits_or, job_live, _, local = self._schedule(stacked, n_bits)
+        bits_or, local = self._schedule(stacked, n_bits)
         # Hardware view: every fed cycle converts every fragment column.
-        local.conversions += (job_live.size * positions * n_planes * cols
+        local.conversions += (n_bits * n_frag * positions * n_planes * cols
                               * self.mapped.slices)
         live_p = np.flatnonzero(bits_or.any(axis=0))
         if live_p.size == positions:
@@ -934,98 +928,101 @@ class InSituLayerEngine:
             corr *= self._frag_signs_arr[hf]
         return hp, corr
 
-    def _matvec_sparse(self, stacked: np.ndarray, pool) -> np.ndarray:
-        """The ``analog`` rung: one task per (fragment, position chunk),
-        each a ``live bits x live positions`` grid."""
+    def _matvec_analog(self, stacked: np.ndarray, pool) -> np.ndarray:
+        """The ``analog`` rung: the signal path once per distinct read.
+
+        Live (bit, fragment, position) reads are keyed by (fragment, drive
+        pattern) and deduplicated; each distinct read's value is shift-
+        added back over its bits and positions, and its conversions are
+        booked once per hardware read.  Silent reads (all-zero pattern)
+        map to code 0 exactly under deterministic physics: only counted.
+        """
         n_frag, m, positions = stacked.shape
         cols = self.mapped.geometry.cols
-        slices = self.mapped.slices
-        n_planes = len(self._plane_terms)
-
         out = np.zeros((cols, positions), dtype=np.int64)
         n_bits = int(stacked.max(initial=0)).bit_length()
         if n_bits == 0:
             return self._offset_correction(stacked, out)
-        bits_or, job_live, scheduled, local = self._schedule(stacked, n_bits)
-
-        # When the average per-fragment grid is too small to amortize a
-        # kernel task (many fragments, few positions), the dense masked
-        # kernel is the faster executor for the same rung.
-        n_live_frag = int(np.count_nonzero(bits_or.any(axis=1)))
-        if (scheduled * cols * slices * n_planes / max(1, n_live_frag)
-                < SPARSE_MIN_TASK_ELEMENTS):
-            return self._matvec_dense(stacked, pool)
-
-        # Tasks are independent — they touch disjoint (fragment, position)
-        # conversions — so they can fan out across workers; accumulation
-        # happens at join.
-        # IR drop holds two (positions, m, cols*slices) temporaries per job
+        _, local = self._schedule(stacked, n_bits)
+        keys, read_p, read_b = self._read_keys(stacked, n_bits)
+        distinct, inverse, counts = np.unique(
+            keys, return_inverse=True, return_counts=True)
+        # Hardware view: every fed cycle converts every fragment column.
+        per_read = len(self._plane_terms) * cols * self.mapped.slices
+        local.conversions += ((n_bits * n_frag * positions - keys.size)
+                              * per_read)
+        # IR drop holds two (m, cols*slices) temporaries per read
         mem_factor = 2 * m + 1 if self.wire is not None else 1
-        tasks: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        for f in range(n_frag):
-            lp = np.nonzero(bits_or[f])[0]
-            if lp.size == 0:
-                continue
-            lb = np.nonzero(job_live[:, f])[0]
-            per_pos = max(1, lb.size * n_planes * cols * slices * mem_factor)
-            chunk = max(1, FUSED_KERNEL_MAX_ELEMENTS // per_pos)
-            for start in range(0, lp.size, chunk):
-                tasks.append((f, lb, lp[start:start + chunk]))
-        # Hardware view: the skipped conversions still happen (a silent
-        # fragment column converts code 0); account them without computing.
-        local.conversions += ((job_live.size * positions - scheduled)
-                              * n_planes * cols * slices)
-
-        bit_weight = np.int64(1) << np.arange(n_bits, dtype=np.int64)
-        for (f, lp, res), task_stats in self._fan_out(
-                pool, lambda task, st: self._run_sparse_task_analog(
-                    stacked, bit_weight, task, st), tasks):
-            out[:, lp] += res.T
+        chunk = max(1, FUSED_KERNEL_MAX_ELEMENTS // (per_read * mem_factor))
+        tasks = [slice(start, start + chunk)
+                 for start in range(0, distinct.size, chunk)]
+        done = self._fan_out(pool, lambda task, st: self._read_values(
+            distinct[task], counts[task], m, st), tasks)
+        for _, task_stats in done:
             local.merge(task_stats)
+        values = np.concatenate([value for value, _ in done])
+        # Shift-add and fragment sum: one sparse (positions, distinct
+        # reads) place-value product; the reads are position-major.
+        shift_add = csr_array(
+            (np.int64(1) << read_b, inverse,
+             np.searchsorted(read_p, np.arange(positions + 1))),
+            shape=(positions, distinct.size))
+        out = np.ascontiguousarray((shift_add @ values).T)
         self._commit_stats(local)
         return self._offset_correction(stacked, out)
 
-    def _run_sparse_task_analog(self, stacked: np.ndarray,
-                                bit_weight: np.ndarray,
-                                task: Tuple[int, np.ndarray, np.ndarray],
-                                stats: EngineStats):
-        """The ``analog`` rung's kernel for one (fragment, live grid) task.
+    def _read_keys(self, stacked: np.ndarray, n_bits: int):
+        """``(keys, positions, bits)`` of every live read, position-major:
+        a key packs the fragment above the m-bit drive pattern.  A chunk's
+        drive bits are packed into one word per read (rows zero-padded to
+        a power-of-two width of at least 8), and position chunks keep every
+        temporary within :data:`FUSED_KERNEL_MAX_ELEMENTS` elements."""
+        n_frag, m, positions = stacked.shape
+        width = 1 << max(3, (m - 1).bit_length())
+        value_t = np.min_scalar_type((1 << n_bits) - 1)
+        shifts = np.arange(n_bits, dtype=value_t)[:, None, None]
+        frag_key = np.arange(n_frag, dtype=np.int64) << m
+        per_pos = n_bits * n_frag
+        chunk = max(1, FUSED_KERNEL_MAX_ELEMENTS // (per_pos * width))
+        parts = []
+        for start in range(0, positions, chunk):
+            x = np.ascontiguousarray(stacked[:, :, start:start + chunk]
+                                     .transpose(2, 0, 1), dtype=value_t)
+            bits = np.zeros((x.shape[0], n_bits, n_frag, width), np.uint8)
+            np.bitwise_and(x[:, None] >> shifts, 1, out=bits[..., :m],
+                           casting="unsafe")
+            pattern = np.packbits(bits, bitorder="little").view(
+                f"<u{width // 8}")                  # (K, B, F) words
+            flat = np.flatnonzero(pattern != 0)
+            k, kb = flat // per_pos, flat // n_frag  # divmod is far slower
+            b, f = kb - k * n_bits, flat - kb * n_frag
+            parts.append((frag_key[f] | pattern[flat].astype(np.int64),
+                          start + k, b))
+        return tuple(np.concatenate(axis) for axis in zip(*parts))
 
-        Runs the full float signal path — the dual scheme's planes stacked
-        along the jobs axis — over the fragment's live bits and positions
-        only.  Deterministic physics map zero drive to code 0 exactly, so
-        dropping silent conversions is lossless (asserted bit-exact against
-        the reference loop).
-        """
-        f, lb, lp = task
-        m = stacked.shape[1]
-        cols = self.mapped.geometry.cols
-        slices = self.mapped.slices
-        n_planes = len(self._plane_terms)
-        # Every live bit of the fragment reads the same conductances, so
-        # the (bit, position) grid rides the positions axis of one job per
-        # plane — a single contraction against the plane, no per-bit copy.
-        grid = ((stacked[f][:, lp][:, None, :] >> lb[None, :, None]) & 1
-                ).reshape(1, m, lb.size * lp.size)         # (1, m, B*K)
+    def _read_values(self, keys: np.ndarray, reads: np.ndarray, m: int,
+                     stats: EngineStats) -> np.ndarray:
+        """``(len(keys), cols)`` recombined value of each distinct read:
+        one job per read and plane (the fragment's conductance, one drive
+        column), booked ``reads`` (its multiplicity) times."""
+        frag = keys >> m
+        grid = (keys[:, None, None] >> np.arange(m)[:, None]) & 1  # (U, m, 1)
+        active = np.bitwise_count(keys - (frag << m))[:, None]    # (U, 1)
+        cond = [self.conductance[name][frag] for name, _ in self._plane_terms]
         drive = self.dac.convert(grid)
-        active = grid.sum(axis=1)                          # (1, B*K)
-        cond = np.stack([self.conductance[name][f]
-                         for name, _ in self._plane_terms])  # (n, m, cols, s)
-        if n_planes > 1:
-            drive = np.broadcast_to(drive, (n_planes,) + drive.shape[1:])
-        currents = self._job_currents(cond, drive)
-        held = self.sample_hold.hold(currents, copy=False)
-        digital = self._convert_batch(held, active, stats)  # (n, B*K, cols, s)
-        # Shift-and-add: input-bit place values first (one matmul over the
-        # bit axis), then slice place values and plane signs.
-        by_bit = np.matmul(bit_weight[lb],
-                           digital.reshape(n_planes, lb.size, -1))
-        res = np.einsum("nkcs,ns->kc",
-                        by_bit.reshape(n_planes, lp.size, cols, slices),
-                        self._plane_place)                  # (K, cols)
+        n_planes = len(cond)
+        if n_planes > 1:          # the planes stack along the jobs axis
+            cond = [np.concatenate(cond)]
+            drive, active, reads = (np.concatenate([a] * n_planes)
+                                    for a in (drive, active, reads))
+        held = self.sample_hold.hold(self._job_currents(cond[0], drive),
+                                     copy=False)
+        digital = self._convert_batch(held, active, stats, reads=reads)
+        values = np.einsum("nucs,ns->uc", digital.reshape(
+            n_planes, keys.size, *digital.shape[2:]), self._plane_place)
         if self._frag_signs_arr is not None:
-            res = res * self._frag_signs_arr[f]
-        return f, lp, res
+            values *= self._frag_signs_arr[frag]
+        return values
 
     # ------------------------------------------------------------------
     # Dense bit-plane executor (the scheduling baseline / noise path)
@@ -1210,9 +1207,10 @@ TIERS = (
     ("dense_noise", lambda engine: engine.read_noise is not None,
      InSituLayerEngine._matvec_dense),
     # variation or deterministic analog physics: the float signal path
-    # over the live grid (zero drive maps to code 0 exactly)
+    # once per distinct live (fragment, drive pattern) read, whatever the
+    # block's shape (zero drive maps to code 0 exactly)
     ("analog", lambda engine: not engine._signal_path_ideal(),
-     InSituLayerEngine._matvec_sparse),
+     InSituLayerEngine._matvec_analog),
     # ideal path: one telescoped matmul, clip residue applied as a correction
     ("integer", lambda engine: True, InSituLayerEngine._matvec_ideal),
 )

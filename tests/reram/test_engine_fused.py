@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import repro.reram
-import repro.reram.engine as engine_mod
 from repro.core import FragmentGeometry, QuantizationSpec
 from repro.core.polarization import compute_signs, project_polarization
 from repro.reram import (TIERS, ADCSpec, DeviceSpec, DieCache,
@@ -83,14 +82,13 @@ RUNG_CASES = {
 
 class TestDispatchLadder:
     @pytest.mark.parametrize("tier", [name for name, _, _ in TIERS])
-    def test_every_rung_matches_reference(self, tier, monkeypatch):
+    def test_every_rung_matches_reference(self, tier):
         """Each rung: output and stats of the oracle, on both executors.
 
         A rung added to ``TIERS`` without a ``RUNG_CASES`` entry fails
         here.  The block keeps every (bit, fragment, position) live, so
         the skip counters of all paths agree with the oracle's.
         """
-        monkeypatch.setattr(engine_mod, "SPARSE_MIN_TASK_ELEMENTS", 0)
         levels, geom = polarized_case((4, 2, 3, 3), 4, seed=30)
         mapped = map_layer(levels, geom, QSPEC, scheme="forms",
                            signs=infer_signs(levels, geom))

@@ -1,9 +1,9 @@
 """Sparse CSR job scheduler equivalence and accounting.
 
 ``matvec_int`` schedules the activation block's nonzero structure
-(per-fragment live-bits x live-positions grids on the analog rung, one
-telescoped matmul plus a clip residue on the ideal one); these tests pin
-it bit-exact against both the
+(each distinct live (fragment, drive pattern) read once on the analog
+rung, one telescoped matmul plus a clip residue on the ideal one); these
+tests pin it bit-exact against both the
 retained dense bit-plane kernel (``matvec_int_dense``) and the
 cycle-by-cycle oracle (``matvec_int_reference``) across mapping schemes,
 tiers, edge-case inputs and worker counts — plus the keyed read-noise
@@ -17,7 +17,8 @@ import repro.reram.engine as engine_mod
 from repro.core import FragmentGeometry, QuantizationSpec
 from repro.core.polarization import compute_signs, project_polarization
 from repro.perf.suite import make_post_relu_inputs
-from repro.reram import ADCSpec, DeviceSpec, ReRAMDevice, build_engine
+from repro.reram import (ADCSpec, DeviceSpec, EngineStats, InSituLayerEngine,
+                         ReRAMDevice, build_engine)
 from repro.reram.mapping import infer_signs, map_layer
 from repro.reram.nonideal import CellIV, ReadNoise, WireModel
 from repro.reram import NonidealEngine
@@ -47,13 +48,6 @@ def sparse_block(geom, m, positions=24, bits=12, seed=3):
                                  fragment_size=m, seed=seed)
 
 
-@pytest.fixture
-def force_sparse(monkeypatch):
-    """Disable the hybrid small-task fallback so the CSR path always runs."""
-    monkeypatch.setattr(engine_mod, "SPARSE_MIN_TASK_ELEMENTS", 0)
-
-
-@pytest.mark.usefixtures("force_sparse")
 class TestSparseEqualsReference:
     """Bit-exactness of the CSR scheduler vs dense kernel and oracle."""
 
@@ -128,18 +122,20 @@ class TestSparseEqualsReference:
         np.testing.assert_array_equal(engine.matvec_int(x),
                                       engine.matvec_int_reference(x))
 
-    def test_hybrid_fallback_matches(self, monkeypatch):
-        """The analog rung's small-task dense fallback is a pure executor
-        choice."""
-        levels, geom = polarized_case((4, 2, 3, 3), 4, seed=9)
+    def test_hybrid_fallback_matches(self):
+        """A many-fragment, few-position block (a classifier head on a
+        small batch) runs the same distinct-read pass as any other block:
+        no dense fallback, and still the oracle's bits."""
+        levels, geom = polarized_case((4, 32, 3, 3), 4, seed=9)
+        assert geom.fragments_per_column >= 64
         x = sparse_block(geom, 4, positions=3)
         device = ReRAMDevice(DeviceSpec(), variation_sigma=0.1, seed=5)
         engine = build_engine(levels, geom, QSPEC, device,
                               activation_bits=12)
         assert engine.dispatch_tier() == "analog"
-        expected = engine.matvec_int(x)
-        monkeypatch.setattr(engine_mod, "SPARSE_MIN_TASK_ELEMENTS", 1 << 30)
-        np.testing.assert_array_equal(engine.matvec_int(x), expected)
+        out = engine.matvec_int(x)
+        np.testing.assert_array_equal(out, engine.matvec_int_reference(x))
+        np.testing.assert_array_equal(out, engine.matvec_int_dense(x))
 
     def test_chunked_kernel_identical(self, monkeypatch):
         """The chunk budget is a pure memory knob on the sparse path too."""
@@ -153,7 +149,6 @@ class TestSparseEqualsReference:
         np.testing.assert_array_equal(engine.matvec_int(x), expected)
 
 
-@pytest.mark.usefixtures("force_sparse")
 class TestWorkerInvariance:
     """Pooled in-layer fan-out: identical bits and stats at any width."""
 
@@ -212,6 +207,104 @@ class TestWorkerInvariance:
         engine.pool = None
 
 
+def distinct_live_reads(engine, x):
+    """Distinct (fragment, drive pattern) pairs among a block's live reads,
+    counted straight from its bit-planes."""
+    stacked = engine._prepare(x)                   # (n_frag, m, positions)
+    seen = set()
+    for bit in range(int(stacked.max()).bit_length()):
+        planes = (stacked >> bit) & 1
+        for f, p in zip(*np.nonzero(planes.any(axis=1))):
+            seen.add((f, planes[f, :, p].tobytes()))
+    return len(seen)
+
+
+def analog_engine(levels, geom, scheme, physics, **kwargs):
+    mapped = map_layer(levels, geom, QSPEC, scheme=scheme,
+                       signs=infer_signs(levels, geom)
+                       if scheme == "forms" else None)
+    if physics == "irdrop":
+        return InSituLayerEngine(mapped, ideal_device(),
+                                 wire=WireModel(r_wire_ohm=10.0),
+                                 cell_iv=CellIV(nonlinearity=2.5), **kwargs)
+    return InSituLayerEngine(
+        mapped, ReRAMDevice(DeviceSpec(), variation_sigma=0.1, seed=5),
+        **kwargs)
+
+
+class TestDistinctReads:
+    """The analog rung converts each distinct (fragment, drive pattern)
+    read once per MVM and books it once per hardware read."""
+
+    @pytest.mark.parametrize("physics", ["variation", "irdrop"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_each_distinct_read_evaluated_once(self, scheme, physics,
+                                               monkeypatch):
+        levels, geom = polarized_case((4, 4, 3, 3), 4, seed=40)
+        rng = np.random.default_rng(41)
+        palette = rng.integers(0, 1 << 8, size=(geom.rows, 3))
+        palette[rng.random(palette.shape) < 0.3] = 0
+        x = palette[:, rng.integers(0, 3, size=20)]   # columns repeat
+        engine = analog_engine(levels, geom, scheme, physics,
+                               activation_bits=8)
+        assert engine.dispatch_tier() == "analog"
+        evaluated = []
+        job_currents = InSituLayerEngine._job_currents
+
+        def spy(self, conductance, drive, noise_keys=None):
+            evaluated.append(conductance.shape[0] * drive.shape[-1])
+            return job_currents(self, conductance, drive, noise_keys)
+
+        monkeypatch.setattr(InSituLayerEngine, "_job_currents", spy)
+        out = engine.matvec_int(x)
+        monkeypatch.undo()
+        n_planes = len(engine._plane_terms)
+        assert sum(evaluated) == distinct_live_reads(engine, x) * n_planes
+        np.testing.assert_array_equal(out, engine.matvec_int_reference(x))
+
+    def test_saturation_booked_per_read(self):
+        """One saturating pattern per fragment, repeated over every bit and
+        position: each of its hardware reads clips and is counted."""
+        levels, geom = polarized_case((4, 2, 3, 3), 4, seed=43)
+        x = np.full((geom.rows, 9), (1 << 6) - 1)  # every row, every bit
+        engine = build_engine(
+            levels, geom, QSPEC,
+            ReRAMDevice(DeviceSpec(), variation_sigma=0.1, seed=44),
+            adc=ADCSpec(bits=3), activation_bits=6)
+        assert engine.dispatch_tier() == "analog"
+        out = engine.matvec_int(x)
+        fused = engine.stats.as_dict()
+        engine.stats = EngineStats()
+        np.testing.assert_array_equal(out, engine.matvec_int_reference(x))
+        assert fused["saturated"] > 0
+        assert fused["conversions"] == engine.stats.conversions
+        assert fused["saturated"] == engine.stats.saturated
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("m,scheme,physics", [
+        (16, "forms", "variation"),
+        (32, "forms", "irdrop"),
+        (8, "dual", "variation"),
+    ])
+    def test_chunking_and_workers_change_nothing(self, m, scheme, physics,
+                                                 workers, monkeypatch):
+        levels, geom = polarized_case((4, 8, 3, 3), m, seed=45)
+        x = sparse_block(geom, m, positions=16)
+        engine = analog_engine(levels, geom, scheme, physics,
+                               activation_bits=12)
+        expected = engine.matvec_int(x)
+        stats = engine.stats.as_dict()
+        np.testing.assert_array_equal(expected,
+                                      engine.matvec_int_reference(x))
+        monkeypatch.setattr(engine_mod, "FUSED_KERNEL_MAX_ELEMENTS", 1)
+        chunked = analog_engine(levels, geom, scheme, physics,
+                                activation_bits=12)
+        with WorkerPool(workers) as pool:
+            out = chunked.matvec_int(x, pool=pool)
+        np.testing.assert_array_equal(out, expected)
+        assert chunked.stats.as_dict() == stats
+
+
 class TestNoiseKeyedSubstreams:
     def test_noisy_fused_equals_reference_bitwise(self):
         """The new anchor: per-job keyed noise makes even noisy engines
@@ -250,7 +343,6 @@ class TestNoiseKeyedSubstreams:
             noise.apply_jobs(np.zeros((3, 2)), [(0,)])
 
 
-@pytest.mark.usefixtures("force_sparse")
 class TestStatsAccounting:
     def test_conversions_match_reference_on_sparse_block(self):
         levels, geom = polarized_case((4, 2, 3, 3), 4, seed=18)
